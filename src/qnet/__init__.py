@@ -2,7 +2,6 @@
 (Thevenin) equivalents, conjugate-matched loads and delivered power, with
 independent time-domain and density-matrix cross-checks."""
 
-from ._kernels import BACKEND, HAVE_COMPILED
 from .errors import (
     CapacityError,
     ConvergenceFailure,
@@ -76,3 +75,6 @@ from .thevenin import (
 )
 
 __version__ = "0.1.0"
+
+# Every route is plain numpy/scipy; callers record this in run metadata.
+BACKEND = "python"

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -39,9 +38,6 @@ __all__ = [
 
 # Hard cap on the product Fock dimension (n_max + 1) ** nodes.
 DIM_CAP = 4096
-# Above this vectorized dimension the dense least-squares route is replaced
-# by a sparse factorization with a trace-constraint row.
-_DENSE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -149,10 +145,11 @@ def _trace_row(dim: int):
 def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
     """Kernel of the generator with unit trace.
 
-    Small problems go through a dense least-squares solve of the generator
-    stacked with the trace constraint; the reported rank detects degenerate
-    kernels (NonUniqueSteadyState). Larger problems fall back to a sparse
-    factorization with the trace constraint replacing one row.
+    Sparse LU factorization of the generator with its first row replaced
+    by the trace constraint tr(rho) = 1. A degenerate kernel leaves the
+    modified generator singular (NonUniqueSteadyState), and the solution
+    must also satisfy the unmodified generator to a relative residual of
+    1e-9 before its density-matrix invariants are checked.
     """
     dim = cfg.dim
     size = dim * dim
@@ -161,34 +158,21 @@ def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
             f"generator shape {liouvillian.shape} does not match dim {dim}"
         )
 
-    if size <= _DENSE_LIMIT:
-        dense = liouvillian.toarray() if sp.issparse(liouvillian) else np.asarray(liouvillian)
-        stacked = np.vstack([dense, _trace_row(dim)[None, :]])
-        rhs = np.zeros(size + 1, dtype=complex)
-        rhs[-1] = 1.0
-        solution, _res, rank, _sv = scipy.linalg.lstsq(
-            stacked, rhs, lapack_driver="gelsy"
+    generator = liouvillian if sp.issparse(liouvillian) else sp.csr_matrix(liouvillian)
+    modified = sp.lil_matrix(generator.tocsr(), dtype=complex)
+    modified[0, :] = _trace_row(dim)
+    rhs = np.zeros(size, dtype=complex)
+    rhs[0] = 1.0
+    try:
+        solution = sp.linalg.splu(modified.tocsc()).solve(rhs)
+    except RuntimeError as exc:
+        raise NonUniqueSteadyState(str(exc)) from None
+    residual = np.linalg.norm(generator @ solution)
+    scale = sp.linalg.norm(generator) * np.linalg.norm(solution)
+    if not np.isfinite(residual) or residual > 1e-9 * scale:
+        raise NonUniqueSteadyState(
+            f"kernel residual {residual:.3e} too large; steady state unreliable"
         )
-        if rank < size:
-            raise NonUniqueSteadyState(
-                f"generator kernel is degenerate (rank {rank} < {size})"
-            )
-    else:
-        generator = liouvillian if sp.issparse(liouvillian) else sp.csr_matrix(liouvillian)
-        modified = sp.lil_matrix(generator.tocsr(), dtype=complex)
-        modified[0, :] = _trace_row(dim)
-        rhs = np.zeros(size, dtype=complex)
-        rhs[0] = 1.0
-        try:
-            solution = sp.linalg.splu(modified.tocsc()).solve(rhs)
-        except RuntimeError as exc:
-            raise NonUniqueSteadyState(str(exc)) from None
-        residual = np.linalg.norm(generator @ solution)
-        scale = sp.linalg.norm(generator) * np.linalg.norm(solution)
-        if not np.isfinite(residual) or residual > 1e-9 * scale:
-            raise NonUniqueSteadyState(
-                f"kernel residual {residual:.3e} too large; steady state unreliable"
-            )
 
     rho = solution.reshape((dim, dim), order="F")
 

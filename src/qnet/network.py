@@ -6,6 +6,7 @@ with hbar = 1, so powers carry units of (rate)^2.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -107,8 +108,8 @@ class Violation:
 def validate(spec: NetworkSpec) -> list[Violation]:
     """Check a NetworkSpec against its invariants.
 
-    Returns an empty list when everything holds. Dimension, symmetry, sign
-    and index problems are reported with severity "error"; the
+    Returns an empty list when everything holds. Dimension, finiteness,
+    symmetry, sign and index problems are reported with severity "error"; the
     weak-coupling plausibility check (rates not small against the node
     frequencies) is reported as a "warning" only.
     """
@@ -128,6 +129,23 @@ def validate(spec: NetworkSpec) -> list[Violation]:
         return out
     if J.shape != (n, n):
         err(f"couplings must be {n}x{n}, got {J.shape}")
+        return out
+
+    for name, arr in (("node_frequencies", omega), ("intrinsic_decays", gamma), ("couplings", J)):
+        if not np.isfinite(arr).all():
+            first = np.argwhere(~np.isfinite(arr))[0]
+            at = ",".join(map(str, first))
+            err(f"{name} must be finite: {name}[{at}]={float(arr[tuple(first)])!r}")
+    for name, value in (
+        ("drive omega_d", spec.drive.omega_d),
+        ("drive rabi", spec.drive.rabi),
+        ("load delta_omega", spec.load.delta_omega),
+        ("load gamma_load", spec.load.gamma_load),
+    ):
+        if not cmath.isfinite(value):
+            err(f"{name} must be finite, got {value!r}")
+    if out:
+        # the checks below compare and rank values, which NaN and Infinity defeat
         return out
 
     if not np.array_equal(J, J.T):
@@ -244,6 +262,11 @@ def _get(mapping, key, kind, where):
         value = mapping[key]
     except (KeyError, TypeError):
         raise ValidationError(f"missing field '{key}' in {where}") from None
+    # int() would read true as 1 and truncate 1.5 to 1; indices must be exact
+    if kind is int and (
+        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ValidationError(f"field '{key}' in {where} must be int, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):

@@ -209,23 +209,26 @@ def load_power_map(spec, delta_values, gamma_values, chunk=2048) -> np.ndarray:
     h_l = (1j * delta_values[:, None] - gamma_values[None, :] / 2.0).ravel()
     amp_load = np.empty(h_l.size, dtype=complex)
     scale = np.linalg.norm(rhs)
+    # One stack of full matrices for every chunk; only the [L, L] entries
+    # differ between grid points, so only they are rewritten per chunk.
+    stack = np.empty((min(chunk, h_l.size),) + base.shape, dtype=complex)
+    stack[...] = base
+    # trailing singleton keeps batched solve in matrix mode on numpy 2.x
+    rhs_stack = np.broadcast_to(rhs[:, None], (stack.shape[0], rhs.size, 1))
     for start in range(0, h_l.size, chunk):
         part = h_l[start : start + chunk]
-        mats = np.broadcast_to(base, (part.size,) + base.shape).copy()
-        mats[:, load, load] += part
+        mats = stack[: part.size]
+        mats[:, load, load] = base[load, load] + part
         try:
-            # trailing singleton keeps batched solve in matrix mode on numpy 2.x
-            sols = np.linalg.solve(mats, np.broadcast_to(rhs[:, None], (part.size, rhs.size, 1)))[..., 0]
+            sols = np.linalg.solve(mats, rhs_stack[: part.size])
         except np.linalg.LinAlgError as exc:
             raise SingularNetwork(str(exc)) from None
-        residuals = np.linalg.norm(
-            np.einsum("kij,kj->ki", mats, sols) - rhs[None, :], axis=1
-        )
+        residuals = np.linalg.norm((mats @ sols)[..., 0] - rhs, axis=1)
         if residuals.max() > RESIDUAL_RTOL * scale:
             raise SingularNetwork(
                 f"grid solve residual {residuals.max():.3e} exceeds contract"
             )
-        amp_load[start : start + chunk] = sols[:, load]
+        amp_load[start : start + chunk] = sols[:, load, 0]
 
     power = spec.drive.omega_d * gamma_values[None, :] * np.abs(
         amp_load.reshape(delta_values.size, gamma_values.size)

@@ -72,6 +72,30 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--config", path)
         assert code == 3
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("nodes", "omega"),
+            ("nodes", "gamma"),
+            ("edges", "J"),
+            ("drive", "omega_d"),
+            ("drive", "rabi_re"),
+            ("drive", "rabi_im"),
+            ("load", "delta_omega"),
+            ("load", "gamma_load"),
+        ],
+    )
+    def test_non_finite_value_exits_2(self, capsys, tmp_path, section, key, value):
+        data = json.loads((CONFIGS / "two_node.json").read_text())
+        target = data[section][0] if section in ("nodes", "edges") else data[section]
+        target[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))  # writes the JSON tokens NaN / Infinity
+        code, _, err = run(capsys, "solve", "--config", str(path))
+        assert code == 2
+        assert err.startswith("qnet: input error:") and "finite" in err
+
 
 class TestThevenin:
     def test_routes_agree(self, capsys, tmp_path):
@@ -253,6 +277,15 @@ class TestOracle:
         payload = json.loads(out)
         assert payload["amplitude_rel_discrepancy"] < 1e-4
         assert payload["factorization_residual"] < 1e-3
+
+    def test_three_node_network_at_n_max_3(self, capsys, tmp_path):
+        path = str(tmp_path / "net.json")
+        assert run(capsys, "gen", "random", "--nodes", "3", "--seed", "1", "--out", path)[0] == 0
+        code, out, _ = run(capsys, "oracle", "--config", path, "--n-max", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["dim"] == 64
+        assert payload["amplitude_rel_discrepancy"] <= 1e-4
 
     def test_capacity_exits_5(self, capsys, tmp_path):
         path = two_node_config(tmp_path)

@@ -142,7 +142,7 @@ class TestSteadyStateDensity:
             qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
 
     def test_sparse_path_matches_scalar_solve(self):
-        # dimension above the dense least-squares limit takes the sparse route
+        # a large truncation: the generator is 5041 x 5041
         gamma, rabi = 1.0, 0.05
         spec = _one_node(gamma=gamma, rabi=rabi)
         cfg = qnet.FockConfig(n_max=70, nodes=1)

@@ -177,6 +177,33 @@ class TestConfigIO:
         with pytest.raises(ValidationError, match="duplicate"):
             qnet.from_config_dict(data)
 
+    @pytest.mark.parametrize("value", [True, False, 1.5])
+    @pytest.mark.parametrize(
+        "section,key", [("drive", "node"), ("load", "node"), ("edges", "i"), ("edges", "j")]
+    )
+    def test_non_integer_index_rejected(self, section, key, value):
+        data = {
+            "nodes": [{"omega": 1000.0, "gamma": 1.0}] * 2,
+            "edges": [{"i": 0, "j": 1, "J": 1.0}],
+            "drive": {"node": 0, "omega_d": 1000.0, "rabi_re": 0.1, "rabi_im": 0.0},
+            "load": {"node": 1, "delta_omega": 0.0, "gamma_load": 1.0},
+        }
+        target = data["edges"][0] if section == "edges" else data[section]
+        target[key] = value
+        with pytest.raises(ValidationError, match=f"'{key}'.*must be int"):
+            qnet.from_config_dict(data)
+
+    def test_integral_float_index_accepted(self):
+        data = {
+            "nodes": [{"omega": 1000.0, "gamma": 1.0}] * 2,
+            "edges": [{"i": 0.0, "j": 1.0, "J": 1.0}],
+            "drive": {"node": 0.0, "omega_d": 1000.0, "rabi_re": 0.1, "rabi_im": 0.0},
+            "load": {"node": 1.0, "delta_omega": 0.0, "gamma_load": 1.0},
+        }
+        spec = qnet.from_config_dict(data)
+        assert spec.load.node == 1 and spec.drive.node == 0
+        assert spec.couplings[0, 1] == 1.0
+
     def test_edge_out_of_range(self):
         data = {
             "nodes": [{"omega": 1000.0, "gamma": 1.0}] * 2,
