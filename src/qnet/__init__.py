@@ -67,11 +67,10 @@ from .thevenin import (
     grid_check,
     load_amplitude_from_thevenin,
     load_power_map,
+    load_sweep,
     matched_load,
     thevenin_by_elimination,
-    thevenin_energy,
     thevenin_equivalent,
-    thevenin_rabi,
 )
 
 __version__ = "0.1.0"

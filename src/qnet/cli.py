@@ -11,12 +11,12 @@
 Exit codes: 0 success, 2 bad input, 3 singular network or decoupled load,
 4 infeasible match, 5 Fock-space capacity exceeded. Outputs are
 deterministic: identical invocations produce byte-identical bytes.
-QNET_THREADS caps sweep concurrency.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -31,8 +31,8 @@ from .errors import (
 from .lindblad import oracle_report
 from .network import DriveSpec, LoadSpec, build_chain, build_random_all_to_all, load_config, save_config
 from .power import power_report
-from .steady import _map_ordered, solve_amplitudes, spectral_density_grid
-from .thevenin import grid_check, matched_load, thevenin_by_elimination, thevenin_equivalent
+from .steady import solve_amplitudes, spectral_density_grid
+from .thevenin import grid_check, load_sweep, matched_load, thevenin_by_elimination, thevenin_equivalent
 
 __all__ = ["SweepRequest", "run_sweep", "main", "main_entry"]
 
@@ -145,6 +145,8 @@ class SweepRequest:
     def __post_init__(self):
         if self.variable not in ("omega", "gamma_load"):
             raise ValidationError(f"unknown sweep variable {self.variable!r}")
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValidationError(f"need finite min and max, got {self.min} and {self.max}")
         if not self.min < self.max:
             raise ValidationError(f"need min < max, got {self.min} and {self.max}")
         if self.n_points < 2:
@@ -173,13 +175,7 @@ def run_sweep(request: SweepRequest) -> str:
         th = thevenin_equivalent(spec)
         lines.append(f"# gamma_th={_fmt(th.gamma_th)},delta_omega_th={_fmt(th.delta_omega_th)}")
         lines.append("gamma_load,p_l,eta")
-
-        def one(gamma_load):
-            probe = spec.with_load(gamma_load=float(gamma_load))
-            report = power_report(probe, solve_amplitudes(probe))
-            return report.p_l, float("nan") if report.eta is None else report.eta
-
-        for gamma_load, (p_l, eta) in zip(grid, _map_ordered(one, list(grid))):
+        for gamma_load, (p_l, eta) in zip(grid, load_sweep(spec, grid)):
             lines.append(f"{_fmt(gamma_load)},{_fmt(p_l)},{_fmt(eta)}")
     return "\n".join(lines) + "\n"
 

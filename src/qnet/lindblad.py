@@ -201,21 +201,32 @@ def expectation_correlator(state: DensityState, n: int, m: int) -> complex:
     return complex((op @ state.rho).diagonal().sum())
 
 
+def _moments(state: DensityState):
+    """All first moments <a_k> and second moments <adag_n a_m>, from one
+    set of annihilation operators. Returns (amps, corr)."""
+    ops = _annihilators(state.config)
+    amps = np.array([(a @ state.rho).diagonal().sum() for a in ops])
+    corr = np.array(
+        [[(a_n.conj().T @ a_m @ state.rho).diagonal().sum() for a_m in ops] for a_n in ops]
+    )
+    return amps, corr
+
+
+def _worst_factorization_defect(amps, corr) -> float:
+    worst = 0.0
+    for n, m in np.ndindex(corr.shape):
+        fact = np.conj(amps[n]) * amps[m]
+        worst = max(worst, abs(corr[n, m] - fact) / max(abs(fact), 1e-300))
+    return float(worst)
+
+
 def factorization_residual(state: DensityState) -> float:
     """Worst relative deviation of <adag_n a_m> from <adag_n><a_m>.
 
     Exactly zero for a purely coherent steady state; in a truncated space
     it shrinks toward zero as the cutoff grows.
     """
-    nodes = state.config.nodes
-    amps = np.array([expectation_amplitude(state, k) for k in range(nodes)])
-    worst = 0.0
-    for n in range(nodes):
-        for m in range(nodes):
-            corr = expectation_correlator(state, n, m)
-            fact = np.conj(amps[n]) * amps[m]
-            worst = max(worst, abs(corr - fact) / max(abs(fact), 1e-300))
-    return float(worst)
+    return _worst_factorization_defect(*_moments(state))
 
 
 def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
@@ -232,11 +243,7 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
     state = steady_state_density(build_liouvillian(spec, cfg), cfg)
     linear = solve_amplitudes(spec)
 
-    nodes = spec.n_nodes
-    amps = np.array([expectation_amplitude(state, k) for k in range(nodes)])
-    corr = np.array(
-        [[expectation_correlator(state, n, m) for m in range(nodes)] for n in range(nodes)]
-    )
+    amps, corr = _moments(state)
     amp_scale = np.linalg.norm(linear.amplitudes)
     amp_rel = float(np.linalg.norm(amps - linear.amplitudes) / amp_scale) if amp_scale else 0.0
 
@@ -255,7 +262,7 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
         "n_max": n_max,
         "dim": cfg.dim,
         "amplitude_rel_discrepancy": amp_rel,
-        "factorization_residual": factorization_residual(state),
+        "factorization_residual": _worst_factorization_defect(amps, corr),
         "p_r_oracle": p_r_oracle,
         "p_l_oracle": p_l_oracle,
         "p_r_closed": p_r_closed,

@@ -13,8 +13,6 @@ drive vector. The steady state solves (H_eff + H_load) a = i W.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,40 +151,29 @@ def spectral_density(spec: NetworkSpec, omega: float) -> float:
     return float(value)
 
 
-def _thread_count() -> int:
-    env = os.environ.get("QNET_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
-def _map_ordered(fn, items):
-    threads = _thread_count()
-    if threads <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def spectral_density_grid(spec, grid) -> np.ndarray:
     """Spectral density at each frequency of an arbitrary grid.
 
-    Exactly singular points come back as nan gap values instead of raising.
-    Points are evaluated concurrently (QNET_THREADS caps the pool) and
-    assembled in grid order, so the output is deterministic.
+    The trace of the resolvent of any square matrix is
+    sum_k 1 / (omega - lambda_k) over its eigenvalues, so one eigvals call
+    serves the whole grid. Points where that sum is not finite (omega on a
+    real eigenvalue) come back as nan gap values instead of raising.
+    spectral_density, which inverts the matrix at one point, is the
+    independent check of this route.
     """
     require_valid(spec)
-
-    def one(omega):
-        try:
-            return spectral_density(spec, float(omega))
-        except SingularNetwork:
-            return float("nan")
-
-    return np.asarray(_map_ordered(one, list(grid)))
+    m = _frequency_matrix(spec) - 0.5j * np.diag(spec.intrinsic_decays)
+    try:
+        eigs = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularNetwork(str(exc)) from None
+    grid = np.asarray(grid, dtype=float)
+    values = np.zeros(grid.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lam in eigs:
+            values -= np.imag(1.0 / (grid - lam))
+    values[~np.isfinite(values)] = np.nan
+    return values
 
 
 def spectral_density_sweep(spec, omega_min, omega_max, n_points) -> np.ndarray:

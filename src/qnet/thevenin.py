@@ -18,19 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch
+from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
 from .network import LoadSpec, NetworkSpec, require_valid
 from .steady import COND_LIMIT, RESIDUAL_RTOL, drive_vector, effective_matrix
 
 __all__ = [
     "TheveninEquivalent",
     "MatchedLoad",
-    "thevenin_energy",
-    "thevenin_rabi",
     "thevenin_equivalent",
     "thevenin_by_elimination",
     "load_amplitude_from_thevenin",
     "matched_load",
+    "load_sweep",
     "load_power_map",
     "grid_check",
     "GridCheck",
@@ -104,18 +103,6 @@ def _resolvent_pair(spec: NetworkSpec):
     return x, sol[:, 1]
 
 
-def thevenin_energy(spec: NetworkSpec) -> complex:
-    """Equivalent self-energy of the load node, 1 / (H^(-1))_{LL}."""
-    x, _ = _resolvent_pair(spec)
-    return complex(1.0 / x[spec.load.node])
-
-
-def thevenin_rabi(spec: NetworkSpec) -> complex:
-    """Equivalent drive amplitude seen by the load node."""
-    x, y = _resolvent_pair(spec)
-    return complex(y[spec.load.node] / x[spec.load.node])
-
-
 def thevenin_equivalent(spec: NetworkSpec) -> TheveninEquivalent:
     """Both equivalent quantities from a single factorization."""
     x, y = _resolvent_pair(spec)
@@ -187,6 +174,59 @@ def matched_load(spec: NetworkSpec) -> MatchedLoad:
         p_max=float(p_max),
         feasible=True,
     )
+
+
+def load_sweep(spec, gamma_values) -> np.ndarray:
+    """Delivered power and efficiency over a grid of load decay rates.
+
+    Attaching the load h_L = i*delta_omega - gamma_load/2 is a rank-one
+    change to the load-free matrix H, so every node amplitude follows from
+    the two resolvent columns x = H^(-1) e_L and y = H^(-1) W of one
+    factorization (Sherman-Morrison):
+
+        a(h_L) = i*y - x * h_L * a_L,   a_L = (i*y)_L / (1 + h_L * x_L).
+
+    a_L, the Thevenin form i*omega_th / (h_th + h_L), is used as it stands
+    for the load entry; recovering it from the difference on the left
+    loses the digits of |h_L * x_L|. Every point must meet the residual
+    contract of the full solve, |(H + h_L e_L e_L^T) a - i*W| <=
+    RESIDUAL_RTOL * |W|, and give a finite p_l, or SingularNetwork is
+    raised. Returns a (len(gamma_values), 2) array of (p_l, eta) rows; eta
+    is nan where no power flows. Per-point solve_amplitudes and
+    power_report are the independent check of this route.
+    """
+    gamma_values = np.asarray(gamma_values, dtype=float)
+    bad = gamma_values[~np.isfinite(gamma_values)]
+    if bad.size:
+        raise ValidationError(f"load gamma_load must be finite, got {float(bad[0])!r}")
+    bad = gamma_values[gamma_values < 0]
+    if bad.size:
+        raise ValidationError(f"load decay must be >= 0: {float(bad[0])!r}")
+
+    x, y = _resolvent_pair(spec)
+    load = spec.load.node
+    h_l = 1j * spec.load.delta_omega - gamma_values / 2.0
+    rhs = 1j * drive_vector(spec)
+    with np.errstate(all="ignore"):
+        amp_load = 1j * y[load] / (1.0 + h_l * x[load])
+        amps = 1j * y - np.outer(h_l * amp_load, x)
+        amps[:, load] = amp_load
+        residual_rows = amps @ _network_matrix(spec).T - rhs
+        residual_rows[:, load] += h_l * amp_load
+        residual = np.linalg.norm(residual_rows, axis=1).max(initial=0.0)
+        if not residual <= RESIDUAL_RTOL * np.linalg.norm(rhs):
+            raise SingularNetwork(
+                f"load sweep residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|"
+            )
+        omega_d = spec.drive.omega_d
+        p_l = omega_d * gamma_values * np.abs(amp_load) ** 2
+        p_r = omega_d * np.sum(spec.intrinsic_decays * np.abs(amps) ** 2, axis=1)
+        if not np.isfinite(p_l).all():
+            first = gamma_values[~np.isfinite(p_l)][0]
+            raise SingularNetwork(f"load power overflows at gamma_load = {float(first)!r}")
+        total = p_l + p_r
+        eta = np.where(total == 0, np.nan, p_l / total)
+    return np.column_stack([p_l, eta])
 
 
 # --- grid-search verification ------------------------------------------------

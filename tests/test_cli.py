@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: outputs, exit codes, determinism."""
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quietly(capsys, *argv):
+    """run(), failing if the command raises any warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in result[2]
+    return result
 
 
 def write_config(tmp_path, spec, name="net.json", seed=None):
@@ -228,6 +239,33 @@ class TestSweep:
             "--min", "0", "--max", "5", "--points", "10", "--log",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("var", ["omega", "gamma_load"])
+    @pytest.mark.parametrize("lo,hi", [("1", "inf"), ("-inf", "1"), ("nan", "1"), ("1", "nan")])
+    def test_non_finite_range_exits_2(self, capsys, var, lo, hi):
+        code, _, err = run_quietly(
+            capsys, "sweep", "--config", str(CONFIGS / "two_node.json"), "--var", var,
+            f"--min={lo}", f"--max={hi}", "--points", "3",
+        )
+        assert code == 2
+        assert err.startswith("qnet: input error:") and "finite" in err
+
+    def test_negative_load_decay_exits_2(self, capsys):
+        code, _, err = run_quietly(
+            capsys, "sweep", "--config", str(CONFIGS / "two_node.json"), "--var", "gamma_load",
+            "--min", "-1", "--max", "5", "--points", "3",
+        )
+        assert code == 2
+        assert "load decay must be >= 0: -1.0" in err
+
+    def test_overflowing_load_decay_exits_3(self, capsys):
+        code, out, err = run_quietly(
+            capsys, "sweep", "--config", str(CONFIGS / "two_node.json"), "--var", "gamma_load",
+            "--min", "0.1", "--max", "1e308", "--points", "7", "--log",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qnet: ")
 
 
 class TestGen:

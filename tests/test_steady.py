@@ -150,6 +150,25 @@ class TestSpectralDensity:
         integral = np.trapezoid(values, grid)
         assert abs(integral - np.pi * n) / (np.pi * n) < 5e-3
 
+    @pytest.mark.parametrize("n", [2, 5, 10, 50])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grid_matches_per_point_inverse(self, n, seed):
+        spec = make_random_network(n, seed)
+        grid = np.linspace(850.0, 1150.0, 301)
+        values = qnet.spectral_density_grid(spec, grid)
+        expected = np.array([qnet.spectral_density(spec, float(w)) for w in grid])
+        assert np.abs(values - expected).max() <= 1e-10 * expected.max()
+
+    def test_grid_at_exceptional_point(self):
+        # gamma = (1, 0) and J = 1/4 merge both eigenvalues at 1000 - i/4
+        # into one defective eigenvalue
+        spec = _two_node(omega_d=1000.0, gamma=(1.0, 0.0), j=0.25)
+        grid = np.linspace(998.0, 1002.0, 401)
+        values = qnet.spectral_density_grid(spec, grid)
+        expected = np.array([qnet.spectral_density(spec, float(w)) for w in grid])
+        assert expected.max() == pytest.approx(8.0, rel=1e-12)
+        assert np.abs(values - expected).max() <= 1e-10 * expected.max()
+
     def test_exactly_singular_point(self):
         spec = _one_node(omega_d=1000.0, gamma=0.0)
         with pytest.raises(SingularNetwork):

@@ -29,10 +29,9 @@ class TestResolventRoute:
             drive=qnet.DriveSpec(node=0, omega_d=omega_d, rabi=rabi),
             load=qnet.LoadSpec(node=0),
         )
-        assert qnet.thevenin_energy(spec) == pytest.approx(
-            1j * (omega_d - omega_0) - gamma / 2
-        )
-        assert qnet.thevenin_rabi(spec) == pytest.approx(rabi)
+        th = qnet.thevenin_equivalent(spec)
+        assert th.h_th == pytest.approx(1j * (omega_d - omega_0) - gamma / 2)
+        assert th.omega_th == pytest.approx(rabi)
 
     def test_two_node_schur_complement(self):
         # by-hand 2x2 reduction: h_th = h_11 + j^2 / h_00, omega_th = i j rabi / h_00
@@ -41,8 +40,9 @@ class TestResolventRoute:
         spec = _two_node(omega_d, gamma=g, j=j, rabi=rabi)
         h_00 = 1j * (omega_d - 1000.0) - g[0] / 2
         h_11 = 1j * (omega_d - 1000.0) - g[1] / 2
-        assert qnet.thevenin_energy(spec) == pytest.approx(h_11 + j**2 / h_00)
-        assert qnet.thevenin_rabi(spec) == pytest.approx(1j * j * rabi / h_00)
+        th = qnet.thevenin_equivalent(spec)
+        assert th.h_th == pytest.approx(h_11 + j**2 / h_00)
+        assert th.omega_th == pytest.approx(1j * j * rabi / h_00)
 
     def test_two_node_resonant_lossless_load_node(self):
         j, g1, rabi = 2.0, 1.3, 0.9
@@ -57,12 +57,12 @@ class TestResolventRoute:
         # lossless resonant first node forces a vanishing resolvent element
         spec = _two_node(omega_d=1000.0, gamma=(0.0, 0.7))
         with pytest.raises(DarkNode):
-            qnet.thevenin_energy(spec)
+            qnet.thevenin_equivalent(spec).h_th
 
     def test_singular_network(self):
         spec = _two_node(omega_d=1002.5, gamma=(0.0, 0.0))
         with pytest.raises(SingularNetwork):
-            qnet.thevenin_energy(spec)
+            qnet.thevenin_equivalent(spec).h_th
 
 
 class TestEliminationRoute:
@@ -86,7 +86,7 @@ class TestEliminationRoute:
             load=qnet.LoadSpec(node=2),
         )
         assert qnet.thevenin_by_elimination(spec).omega_th == 0.0
-        assert qnet.thevenin_rabi(spec) == 0.0
+        assert qnet.thevenin_equivalent(spec).omega_th == 0.0
 
     @pytest.mark.parametrize("n", [2, 5, 10, 50])
     @pytest.mark.parametrize("seed", range(5))
@@ -189,6 +189,28 @@ class TestMatchedLoad:
         with pytest.raises(UnphysicalMatch) as err:
             qnet.matched_load(spec)
         assert abs(err.value.gamma_th) < 1e-12
+
+
+class TestLoadSweep:
+    @pytest.mark.parametrize("n", [2, 5, 10, 50])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_point_solves(self, n, seed):
+        spec = make_random_network(n, seed)
+        assert spec.load.delta_omega != 0.0
+        gammas = np.concatenate([[0.0], np.geomspace(0.01, 100.0, 24)])
+        rows = qnet.load_sweep(spec, gammas)
+        assert rows.shape == (gammas.size, 2)
+        for (p_l, eta), gamma_load in zip(rows, gammas):
+            probe = spec.with_load(gamma_load=float(gamma_load))
+            report = qnet.power_report(probe, qnet.solve_amplitudes(probe))
+            assert abs(p_l - report.p_l) <= 1e-10 * report.p_l, f"gamma_load {gamma_load}"
+            assert abs(eta - report.eta) <= 1e-10, f"gamma_load {gamma_load}"
+
+    def test_undriven_network_has_no_efficiency(self):
+        spec = make_random_network(5, 0).with_drive(rabi=0.0)
+        rows = qnet.load_sweep(spec, [0.0, 0.5, 2.0])
+        assert np.all(rows[:, 0] == 0.0)
+        assert np.all(np.isnan(rows[:, 1]))
 
 
 class TestGridOracle:
