@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .errors import ConvergenceFailure, SingularNetwork, ValidationError
 from .network import NetworkSpec, require_valid
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 # Above this condition estimate the linear system is treated as singular.
+# The estimate is the 1-norm one LAPACK zgecon takes from the LU factors;
+# it differs from the 2-norm condition number by at most a factor of N.
 COND_LIMIT = 1e12
 # Steady-state residual contract, relative to the drive vector norm.
 RESIDUAL_RTOL = 1e-10
@@ -79,18 +82,53 @@ def _frequency_matrix(spec: NetworkSpec) -> np.ndarray:
     return w
 
 
+def _load_term(spec: NetworkSpec) -> complex:
+    """Load contribution i*delta_omega - gamma_load/2 at the load node."""
+    return 1j * spec.load.delta_omega - spec.load.gamma_load / 2.0
+
+
+def _steady_matrix(spec: NetworkSpec, loaded: bool) -> np.ndarray:
+    """Validate a spec and build its steady-state matrix in one fresh
+    array: i(omega_d - w_nn) - gamma_n/2 on the diagonal, -i*w_nm off it,
+    and the load term added at [L, L] when `loaded`."""
+    require_valid(spec)
+    matrix = spec.couplings * -1j
+    diagonal = 1j * (spec.drive.omega_d - spec.node_frequencies) - spec.intrinsic_decays / 2.0
+    np.fill_diagonal(matrix, diagonal)
+    if loaded:
+        matrix[spec.load.node, spec.load.node] += _load_term(spec)
+    return matrix
+
+
+class _Factorization:
+    """LU factors of one square complex matrix, checked for conditioning.
+
+    Raises SingularNetwork when a pivot is exactly zero or when the
+    reciprocal 1-norm condition estimate that LAPACK zgecon takes from the
+    factors (Hager/Higham) falls below 1 / COND_LIMIT.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.lu, self.piv, info = zgetrf(matrix)
+        if info > 0:
+            raise SingularNetwork(f"matrix is exactly singular (zero pivot in column {info})")
+        self.rcond, _ = zgecon(self.lu, np.linalg.norm(matrix, 1), norm="1")
+        # written this way round so that a nan estimate fails too
+        if not self.rcond >= 1.0 / COND_LIMIT:
+            cond = math.inf if self.rcond == 0 else 1.0 / self.rcond
+            raise SingularNetwork(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solution of matrix @ x = rhs for a vector or a column stack."""
+        return zgetrs(self.lu, self.piv, rhs)[0]
+
+
 def effective_matrix(spec: NetworkSpec) -> EffectiveMatrix:
     """Build the steady-state matrix pair for a validated spec."""
-    require_valid(spec)
-    n = spec.n_nodes
-    omega_d = float(spec.drive.omega_d)
-    h_tilde = 1j * (omega_d * np.eye(n) - _frequency_matrix(spec))
-    h_tilde -= np.diag(spec.intrinsic_decays) / 2.0
-    h_load = np.zeros((n, n), dtype=complex)
-    h_load[spec.load.node, spec.load.node] = (
-        1j * spec.load.delta_omega - spec.load.gamma_load / 2.0
-    )
-    return EffectiveMatrix(h_tilde=h_tilde, h_load=h_load, omega_d=omega_d)
+    h_tilde = _steady_matrix(spec, loaded=False)
+    h_load = np.zeros_like(h_tilde)
+    h_load[spec.load.node, spec.load.node] = _load_term(spec)
+    return EffectiveMatrix(h_tilde=h_tilde, h_load=h_load, omega_d=float(spec.drive.omega_d))
 
 
 def drive_vector(spec: NetworkSpec) -> np.ndarray:
@@ -103,27 +141,23 @@ def drive_vector(spec: NetworkSpec) -> np.ndarray:
 def solve_amplitudes(spec: NetworkSpec) -> SteadyState:
     """Direct solve of the steady-state equations.
 
-    Raises SingularNetwork when the matrix is singular or its condition
-    estimate exceeds COND_LIMIT (physically, driving a lossless dark mode
-    exactly on resonance), or when the residual contract cannot be met.
+    Factors the full loaded matrix once; the condition check, the solve and
+    the one refinement step all use those LU factors. Raises
+    SingularNetwork when a pivot is exactly zero or the 1-norm condition
+    estimate (LAPACK zgecon) exceeds COND_LIMIT (physically, driving a
+    lossless dark mode exactly on resonance), or when the residual
+    contract cannot be met.
     """
-    em = effective_matrix(spec)
-    matrix = em.total
+    matrix = _steady_matrix(spec, loaded=True)
     rhs = 1j * drive_vector(spec)
-
-    cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularNetwork(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    try:
-        amps = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNetwork(str(exc)) from None
+    factors = _Factorization(matrix)
+    amps = factors.solve(rhs)
 
     scale = np.linalg.norm(rhs)
     residual = np.linalg.norm(matrix @ amps - rhs)
     if residual > RESIDUAL_RTOL * scale:
         # one step of iterative refinement, then give up
-        amps = amps + np.linalg.solve(matrix, rhs - matrix @ amps)
+        amps = amps + factors.solve(rhs - matrix @ amps)
         residual = np.linalg.norm(matrix @ amps - rhs)
         if residual > RESIDUAL_RTOL * scale:
             raise SingularNetwork(
@@ -244,8 +278,7 @@ def time_domain_steady_state(spec, t_final=None, dt=None) -> SteadyState:
     reached, when the residual target is not met by t_final, and
     ValidationError for a network with a non-decaying mode.
     """
-    em = effective_matrix(spec)
-    matrix = em.total
+    matrix = _steady_matrix(spec, loaded=True)
     omega = drive_vector(spec)
     forcing = -1j * omega
     tol = RESIDUAL_RTOL * float(np.linalg.norm(omega))

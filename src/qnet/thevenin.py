@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
 from .network import LoadSpec, NetworkSpec, require_valid
-from .steady import COND_LIMIT, RESIDUAL_RTOL, drive_vector, effective_matrix
+from .steady import RESIDUAL_RTOL, _Factorization, _steady_matrix, drive_vector
 
 __all__ = [
     "TheveninEquivalent",
@@ -69,31 +69,21 @@ class MatchedLoad:
     feasible: bool = True
 
 
-def _network_matrix(spec: NetworkSpec) -> np.ndarray:
-    """Steady-state matrix with the load contribution excluded."""
-    return effective_matrix(spec).h_tilde
-
-
 def _resolvent_pair(spec: NetworkSpec):
-    """Solve H x = e_load and H y = drive vector in one factorization.
+    """Solve H x = e_load and H y = drive vector from one LU factorization
+    of the load-free matrix H.
 
-    Returns (x, y). Raises SingularNetwork for an unusable matrix and
-    DarkNode when the load-node resolvent element vanishes.
+    Returns (x, y). Raises SingularNetwork when a pivot is exactly zero or
+    the 1-norm condition estimate of H (LAPACK zgecon) exceeds COND_LIMIT,
+    and DarkNode when the load-node resolvent element vanishes.
     """
-    matrix = _network_matrix(spec)
+    matrix = _steady_matrix(spec, loaded=False)
     n = spec.n_nodes
     load = spec.load.node
     rhs = np.zeros((n, 2), dtype=complex)
     rhs[load, 0] = 1.0
     rhs[spec.drive.node, 1] = spec.drive.rabi
-
-    cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularNetwork(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    try:
-        sol = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNetwork(str(exc)) from None
+    sol = _Factorization(matrix).solve(rhs)
 
     x = sol[:, 0]
     if abs(x[load]) <= DARK_RTOL * np.abs(x).max():
@@ -127,7 +117,7 @@ def thevenin_by_elimination(spec: NetworkSpec) -> TheveninEquivalent:
     n = spec.n_nodes
     load = spec.load.node
     order = [k for k in range(n) if k != load] + [load]
-    matrix = _network_matrix(spec)[np.ix_(order, order)].copy()
+    matrix = _steady_matrix(spec, loaded=False)[np.ix_(order, order)].copy()
     rhs = (1j * drive_vector(spec))[order].copy()
 
     for k in range(n - 1):
@@ -211,7 +201,7 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
         amp_load = 1j * y[load] / (1.0 + h_l * x[load])
         amps = 1j * y - np.outer(h_l * amp_load, x)
         amps[:, load] = amp_load
-        residual_rows = amps @ _network_matrix(spec).T - rhs
+        residual_rows = amps @ _steady_matrix(spec, loaded=False).T - rhs
         residual_rows[:, load] += h_l * amp_load
         residual = np.linalg.norm(residual_rows, axis=1).max(initial=0.0)
         if not residual <= RESIDUAL_RTOL * np.linalg.norm(rhs):
@@ -242,7 +232,7 @@ def load_power_map(spec, delta_values, gamma_values, chunk=2048) -> np.ndarray:
     """
     delta_values = np.asarray(delta_values, dtype=float)
     gamma_values = np.asarray(gamma_values, dtype=float)
-    base = _network_matrix(spec)
+    base = _steady_matrix(spec, loaded=False)
     rhs = 1j * drive_vector(spec)
     load = spec.load.node
 

@@ -83,6 +83,20 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--config", path)
         assert code == 3
 
+    def test_ill_conditioned_network_exits_3(self, capsys, tmp_path):
+        # condition number about 1e14, no pivot exactly zero
+        path = two_node_config(
+            tmp_path,
+            intrinsic_decays=np.array([1e-13, 1e-13]),
+            couplings=np.array([[0.0, 2.5], [2.5, 0.0]]),
+            drive=qnet.DriveSpec(node=0, omega_d=1002.5, rabi=0.1),
+        )
+        code, out, err = run(capsys, "solve", "--config", path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qnet: condition estimate")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
         "section,key",

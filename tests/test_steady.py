@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qnet
+from qnet import steady
 from qnet.errors import ConvergenceFailure, SingularNetwork, ValidationError
 
 from conftest import make_random_network
@@ -89,6 +90,56 @@ class TestSolveAmplitudes:
         spec = _two_node(omega_d=1002.5, gamma=(0.0, 0.0), j=2.5)
         with pytest.raises(SingularNetwork):
             qnet.solve_amplitudes(spec)
+
+
+class TestConditionThreshold:
+    """Nearly lossless two-node network driven on its upper mode: the
+    condition number is about 5 / (gamma / 2), 1e14 at gamma = 1e-13 and
+    1e9 at gamma = 1e-8 in both the 1-norm and the 2-norm. gamma = 1e-11
+    sits on the 1e12 limit and is left out."""
+
+    @pytest.mark.parametrize("solver", [qnet.solve_amplitudes, qnet.thevenin_equivalent])
+    def test_ill_conditioned_is_singular(self, solver):
+        spec = _two_node(omega_d=1002.5, gamma=(1e-13, 1e-13), j=2.5)
+        with pytest.raises(SingularNetwork, match="condition estimate"):
+            solver(spec)
+
+    def test_well_conditioned_meets_residual_contract(self):
+        spec = _two_node(omega_d=1002.5, gamma=(1e-8, 1e-8), j=2.5)
+        rhs = np.zeros(spec.n_nodes, dtype=complex)
+        rhs[spec.drive.node] = 1j * spec.drive.rabi
+        em = qnet.effective_matrix(spec)
+        state = qnet.solve_amplitudes(spec)
+        residual = np.linalg.norm(em.total @ state.amplitudes - rhs)
+        assert residual <= 1e-10 * np.linalg.norm(rhs)
+
+        th = qnet.thevenin_equivalent(spec)
+        reduced = qnet.load_amplitude_from_thevenin(th, spec.load)
+        full = state.amplitudes[spec.load.node]
+        assert abs(reduced - full) <= 1e-10 * abs(full)
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("n", [2, 5, 10, 50, 200])
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_condition_estimate_brackets_exact_value(self, n, loaded):
+        # zgecon estimates |A^-1|_1 from below and is rarely off by more
+        # than a factor of 3 (Higham, ch. 15)
+        for seed in range(5):
+            matrix = steady._steady_matrix(make_random_network(n, seed), loaded)
+            cond1 = np.linalg.cond(matrix, 1)
+            estimate = 1.0 / steady._Factorization(matrix).rcond
+            assert cond1 / 3.0 <= estimate <= cond1 * (1.0 + 1e-12)
+
+    def test_exact_zero_pivot(self):
+        matrix = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+        with pytest.raises(SingularNetwork, match="zero pivot"):
+            steady._Factorization(matrix)
+
+    def test_loaded_matrix_is_effective_total(self, small_corpus):
+        for spec in small_corpus:
+            loaded = steady._steady_matrix(spec, loaded=True)
+            assert np.array_equal(loaded, qnet.effective_matrix(spec).total)
 
 
 class TestSpectralDensity:

@@ -149,6 +149,33 @@ class TestLoadAmplitude:
             qnet.load_amplitude_from_thevenin(th, qnet.LoadSpec(node=0, gamma_load=2.0))
 
 
+def _weak_loss_chain(n):
+    """Chain with gamma = 0.1 on every node, driven inside its band."""
+    return qnet.build_chain(
+        n, 1000.0, 2.0, 0.1,
+        qnet.DriveSpec(node=0, omega_d=1000.7, rabi=0.1 - 0.05j),
+        qnet.LoadSpec(node=n - 1, delta_omega=0.3, gamma_load=1.5),
+    )
+
+
+class TestDesignSize:
+    """The networks of the size the design studies run, N = 200."""
+
+    @pytest.mark.parametrize(
+        "spec", [_weak_loss_chain(200), make_random_network(200, 0)], ids=["chain", "all_to_all"]
+    )
+    def test_residual_contract_and_exact_reduction(self, spec):
+        rhs = np.zeros(spec.n_nodes, dtype=complex)
+        rhs[spec.drive.node] = 1j * spec.drive.rabi
+        state = qnet.solve_amplitudes(spec)
+        residual = np.linalg.norm(qnet.effective_matrix(spec).total @ state.amplitudes - rhs)
+        assert residual <= 1e-10 * np.linalg.norm(rhs)
+
+        full = state.amplitudes[spec.load.node]
+        reduced = qnet.load_amplitude_from_thevenin(qnet.thevenin_equivalent(spec), spec.load)
+        assert abs(reduced - full) <= 1e-10 * abs(full)
+
+
 class TestMatchedLoad:
     def test_two_node_resonant_closed_form(self):
         j, g1, rabi, omega_0 = 2.0, 1.3, 0.9, 1000.0
