@@ -45,13 +45,11 @@ from .power import (
     general_power_from_correlators,
     input_power,
     load_power,
-    load_power_thevenin,
     matched_efficiency_two_node,
     power_report,
     radiated_power,
 )
 from .steady import (
-    EffectiveMatrix,
     SteadyState,
     effective_matrix,
     solve_amplitudes,
@@ -67,6 +65,7 @@ from .thevenin import (
     grid_check,
     load_amplitude_from_thevenin,
     load_power_map,
+    load_power_thevenin,
     load_sweep,
     matched_load,
     thevenin_by_elimination,

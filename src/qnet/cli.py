@@ -132,7 +132,7 @@ def _cmd_match(args) -> int:
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """A validated sweep: which variable, over what grid, to which file."""
+    """A validated sweep: which variable over what grid."""
 
     config_path: str
     variable: str  # "omega" or "gamma_load"
@@ -140,7 +140,6 @@ class SweepRequest:
     max: float
     n_points: int
     log_scale: bool = False
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.variable not in ("omega", "gamma_load"):
@@ -188,9 +187,8 @@ def _cmd_sweep(args) -> int:
         max=args.max,
         n_points=args.points,
         log_scale=args.log,
-        output_path=args.out,
     )
-    _emit(run_sweep(request), request.output_path)
+    _emit(run_sweep(request), args.out)
     return 0
 
 

@@ -23,7 +23,8 @@ import scipy.sparse.linalg
 
 from .errors import CapacityError, NonUniqueSteadyState, QnetError, ValidationError
 from .network import NetworkSpec, require_valid
-from .steady import solve_amplitudes
+from .power import general_power_from_correlators, input_power, load_power, radiated_power
+from .steady import SteadyState, solve_amplitudes
 
 __all__ = [
     "FockConfig",
@@ -213,11 +214,13 @@ def _moments(state: DensityState):
 
 
 def _worst_factorization_defect(amps, corr) -> float:
-    worst = 0.0
-    for n, m in np.ndindex(corr.shape):
-        fact = np.conj(amps[n]) * amps[m]
-        worst = max(worst, abs(corr[n, m] - fact) / max(abs(fact), 1e-300))
-    return float(worst)
+    # conj(a_n) a_m and the moduli in real arithmetic, which rounds as
+    # numpy's scalar complex operations do; its SIMD complex loops can
+    # round the last bit differently
+    re = np.outer(amps.real, amps.real) + np.outer(amps.imag, amps.imag)
+    im = np.outer(amps.real, amps.imag) - np.outer(amps.imag, amps.real)
+    defect = np.hypot(corr.real - re, corr.imag - im)
+    return float((defect / np.maximum(np.hypot(re, im), 1e-300)).max())
 
 
 def factorization_residual(state: DensityState) -> float:
@@ -237,8 +240,6 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
     correlator-based formulas (density-matrix moments) and the factorized
     amplitude formulas (linear solve).
     """
-    from .power import general_power_from_correlators, load_power, radiated_power
-
     cfg = FockConfig(n_max=n_max, nodes=spec.n_nodes)
     state = steady_state_density(build_liouvillian(spec, cfg), cfg)
     linear = solve_amplitudes(spec)
@@ -250,9 +251,7 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
     p_r_oracle, p_l_oracle = general_power_from_correlators(spec, amps, corr)
     p_r_closed = radiated_power(spec, linear)
     p_l_closed = load_power(spec, linear)
-    p_in_oracle = float(
-        -2.0 * spec.drive.omega_d * np.imag(np.conj(spec.drive.rabi) * amps[spec.drive.node])
-    )
+    p_in_oracle = input_power(spec, SteadyState(amplitudes=amps, spec=spec))
     p_out = p_r_oracle + p_l_oracle
 
     def rel(a, b):

@@ -12,17 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMoments, SingularNetwork, UndefinedEfficiency, UnsupportedTopology
-from .network import LoadSpec, NetworkSpec
+from .errors import InvalidMoments, UndefinedEfficiency, UnsupportedTopology
+from .network import NetworkSpec
 from .steady import SteadyState, effective_matrix, _frequency_matrix
-from .thevenin import TheveninEquivalent
 
 __all__ = [
     "PowerReport",
     "input_power",
     "radiated_power",
     "load_power",
-    "load_power_thevenin",
     "general_power_from_correlators",
     "efficiency",
     "matched_efficiency_two_node",
@@ -64,16 +62,6 @@ def load_power(spec: NetworkSpec, state: SteadyState) -> float:
     omega_d * gamma_load * |a_load|^2."""
     amp = state.amplitudes[spec.load.node]
     return float(spec.drive.omega_d * spec.load.gamma_load * abs(amp) ** 2)
-
-
-def load_power_thevenin(th: TheveninEquivalent, load: LoadSpec, omega_d: float) -> float:
-    """Delivered power predicted by the single-node equivalent,
-    omega_d * gamma_load * |omega_th|^2 / |h_th + h_L|^2."""
-    h_l = 1j * load.delta_omega - load.gamma_load / 2.0
-    denom = abs(th.h_th + h_l) ** 2
-    if denom == 0:
-        raise SingularNetwork("equivalent energy exactly cancels the load term")
-    return float(omega_d * load.gamma_load * abs(th.omega_th) ** 2 / denom)
 
 
 def general_power_from_correlators(spec, first_moments, second_moments):
@@ -145,12 +133,11 @@ def matched_efficiency_two_node(spec: NetworkSpec) -> float:
             "closed-form efficiency needs exactly two nodes with the drive "
             "on node 0 and the load on node 1"
         )
-    em = effective_matrix(spec)
-    coupling = em.h_tilde[0, 1]
+    matrix = effective_matrix(spec)
+    coupling = matrix[0, 1]
     if coupling == 0:
         return 0.0
-    h_11 = em.h_tilde[1, 1] + em.h_load[1, 1]
-    factor = abs(h_11) ** 2 / abs(coupling) ** 2
+    factor = abs(matrix[1, 1]) ** 2 / abs(coupling) ** 2
     gamma = spec.intrinsic_decays
     g_l = spec.load.gamma_load
     return float(g_l / (factor * gamma[0] + gamma[1] + g_l))

@@ -22,7 +22,6 @@ from .errors import ConvergenceFailure, SingularNetwork, ValidationError
 from .network import NetworkSpec, require_valid
 
 __all__ = [
-    "EffectiveMatrix",
     "SteadyState",
     "effective_matrix",
     "drive_vector",
@@ -39,26 +38,6 @@ __all__ = [
 COND_LIMIT = 1e12
 # Steady-state residual contract, relative to the drive vector norm.
 RESIDUAL_RTOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class EffectiveMatrix:
-    """Non-Hermitian steady-state matrix split into the bare network part
-    (h_tilde) and the diagonal load part (h_load)."""
-
-    h_tilde: np.ndarray
-    h_load: np.ndarray
-    omega_d: float
-
-    def __post_init__(self):
-        for name in ("h_tilde", "h_load"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.h_tilde + self.h_load
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,21 +61,31 @@ def _frequency_matrix(spec: NetworkSpec) -> np.ndarray:
     return w
 
 
-def _load_term(spec: NetworkSpec) -> complex:
-    """Load contribution i*delta_omega - gamma_load/2 at the load node."""
-    return 1j * spec.load.delta_omega - spec.load.gamma_load / 2.0
+def _undriven_matrix(spec: NetworkSpec) -> np.ndarray:
+    """Validate a spec and build W - i*diag(gamma)/2 of the undriven,
+    unloaded network."""
+    require_valid(spec)
+    return _frequency_matrix(spec) - 0.5j * np.diag(spec.intrinsic_decays)
 
 
-def _steady_matrix(spec: NetworkSpec, loaded: bool) -> np.ndarray:
+def _load_term(delta_omega, gamma_load):
+    """Load entry h_L = i*delta_omega - gamma_load/2 at the load node, for
+    scalars or arrays of load parameters."""
+    return 1j * delta_omega - gamma_load / 2.0
+
+
+def effective_matrix(spec: NetworkSpec, loaded: bool = True) -> np.ndarray:
     """Validate a spec and build its steady-state matrix in one fresh
     array: i(omega_d - w_nn) - gamma_n/2 on the diagonal, -i*w_nm off it,
-    and the load term added at [L, L] when `loaded`."""
+    and the load term h_L added at [L, L] when `loaded`."""
     require_valid(spec)
     matrix = spec.couplings * -1j
     diagonal = 1j * (spec.drive.omega_d - spec.node_frequencies) - spec.intrinsic_decays / 2.0
     np.fill_diagonal(matrix, diagonal)
     if loaded:
-        matrix[spec.load.node, spec.load.node] += _load_term(spec)
+        matrix[spec.load.node, spec.load.node] += _load_term(
+            spec.load.delta_omega, spec.load.gamma_load
+        )
     return matrix
 
 
@@ -123,14 +112,6 @@ class _Factorization:
         return zgetrs(self.lu, self.piv, rhs)[0]
 
 
-def effective_matrix(spec: NetworkSpec) -> EffectiveMatrix:
-    """Build the steady-state matrix pair for a validated spec."""
-    h_tilde = _steady_matrix(spec, loaded=False)
-    h_load = np.zeros_like(h_tilde)
-    h_load[spec.load.node, spec.load.node] = _load_term(spec)
-    return EffectiveMatrix(h_tilde=h_tilde, h_load=h_load, omega_d=float(spec.drive.omega_d))
-
-
 def drive_vector(spec: NetworkSpec) -> np.ndarray:
     """One-hot complex drive vector."""
     omega = np.zeros(spec.n_nodes, dtype=complex)
@@ -148,7 +129,7 @@ def solve_amplitudes(spec: NetworkSpec) -> SteadyState:
     lossless dark mode exactly on resonance), or when the residual
     contract cannot be met.
     """
-    matrix = _steady_matrix(spec, loaded=True)
+    matrix = effective_matrix(spec)
     rhs = 1j * drive_vector(spec)
     factors = _Factorization(matrix)
     amps = factors.solve(rhs)
@@ -173,9 +154,7 @@ def spectral_density(spec: NetworkSpec, omega: float) -> float:
     Nonnegative for strictly lossy networks; a sum of Lorentzian peaks at
     the network eigenfrequencies.
     """
-    require_valid(spec)
-    m = _frequency_matrix(spec) - 0.5j * np.diag(spec.intrinsic_decays)
-    a = omega * np.eye(spec.n_nodes) - m
+    a = omega * np.eye(spec.n_nodes) - _undriven_matrix(spec)
     try:
         value = -np.imag(np.trace(np.linalg.inv(a)))
     except np.linalg.LinAlgError as exc:
@@ -195,10 +174,8 @@ def spectral_density_grid(spec, grid) -> np.ndarray:
     spectral_density, which inverts the matrix at one point, is the
     independent check of this route.
     """
-    require_valid(spec)
-    m = _frequency_matrix(spec) - 0.5j * np.diag(spec.intrinsic_decays)
     try:
-        eigs = np.linalg.eigvals(m)
+        eigs = np.linalg.eigvals(_undriven_matrix(spec))
     except np.linalg.LinAlgError as exc:
         raise SingularNetwork(str(exc)) from None
     grid = np.asarray(grid, dtype=float)
@@ -278,7 +255,7 @@ def time_domain_steady_state(spec, t_final=None, dt=None) -> SteadyState:
     reached, when the residual target is not met by t_final, and
     ValidationError for a network with a non-decaying mode.
     """
-    matrix = _steady_matrix(spec, loaded=True)
+    matrix = effective_matrix(spec)
     omega = drive_vector(spec)
     forcing = -1j * omega
     tol = RESIDUAL_RTOL * float(np.linalg.norm(omega))

@@ -19,8 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
-from .network import LoadSpec, NetworkSpec, require_valid
-from .steady import RESIDUAL_RTOL, _Factorization, _steady_matrix, drive_vector
+from .network import LoadSpec, NetworkSpec
+from .power import load_power
+from .steady import (
+    RESIDUAL_RTOL,
+    _Factorization,
+    _load_term,
+    drive_vector,
+    effective_matrix,
+    solve_amplitudes,
+)
 
 __all__ = [
     "TheveninEquivalent",
@@ -28,6 +36,7 @@ __all__ = [
     "thevenin_equivalent",
     "thevenin_by_elimination",
     "load_amplitude_from_thevenin",
+    "load_power_thevenin",
     "matched_load",
     "load_sweep",
     "load_power_map",
@@ -73,11 +82,11 @@ def _resolvent_pair(spec: NetworkSpec):
     """Solve H x = e_load and H y = drive vector from one LU factorization
     of the load-free matrix H.
 
-    Returns (x, y). Raises SingularNetwork when a pivot is exactly zero or
-    the 1-norm condition estimate of H (LAPACK zgecon) exceeds COND_LIMIT,
-    and DarkNode when the load-node resolvent element vanishes.
+    Returns (H, x, y). Raises SingularNetwork when a pivot is exactly zero
+    or the 1-norm condition estimate of H (LAPACK zgecon) exceeds
+    COND_LIMIT, and DarkNode when the load-node resolvent element vanishes.
     """
-    matrix = _steady_matrix(spec, loaded=False)
+    matrix = effective_matrix(spec, loaded=False)
     n = spec.n_nodes
     load = spec.load.node
     rhs = np.zeros((n, 2), dtype=complex)
@@ -90,12 +99,12 @@ def _resolvent_pair(spec: NetworkSpec):
         raise DarkNode(
             f"load node {load} is decoupled at drive frequency {spec.drive.omega_d!r}"
         )
-    return x, sol[:, 1]
+    return matrix, x, sol[:, 1]
 
 
 def thevenin_equivalent(spec: NetworkSpec) -> TheveninEquivalent:
     """Both equivalent quantities from a single factorization."""
-    x, y = _resolvent_pair(spec)
+    _, x, y = _resolvent_pair(spec)
     load = spec.load.node
     return TheveninEquivalent(
         h_th=complex(1.0 / x[load]),
@@ -113,11 +122,10 @@ def thevenin_by_elimination(spec: NetworkSpec) -> TheveninEquivalent:
     whenever every pivot is nonzero; an exactly zero pivot raises
     PivotBreakdown with the offending node index.
     """
-    require_valid(spec)
     n = spec.n_nodes
     load = spec.load.node
     order = [k for k in range(n) if k != load] + [load]
-    matrix = _steady_matrix(spec, loaded=False)[np.ix_(order, order)].copy()
+    matrix = effective_matrix(spec, loaded=False)[np.ix_(order, order)].copy()
     rhs = (1j * drive_vector(spec))[order].copy()
 
     for k in range(n - 1):
@@ -137,11 +145,16 @@ def thevenin_by_elimination(spec: NetworkSpec) -> TheveninEquivalent:
 
 def load_amplitude_from_thevenin(th: TheveninEquivalent, load: LoadSpec) -> complex:
     """Load-node amplitude predicted by the reduced single-node equation."""
-    h_l = 1j * load.delta_omega - load.gamma_load / 2.0
-    denom = th.h_th + h_l
+    denom = th.h_th + _load_term(load.delta_omega, load.gamma_load)
     if denom == 0:
         raise SingularNetwork("equivalent energy exactly cancels the load term")
     return complex(1j * th.omega_th / denom)
+
+
+def load_power_thevenin(th: TheveninEquivalent, load: LoadSpec, omega_d: float) -> float:
+    """Delivered power predicted by the single-node equivalent,
+    omega_d * gamma_load * |a_load|^2 with a_load from the reduced equation."""
+    return float(omega_d * load.gamma_load * abs(load_amplitude_from_thevenin(th, load)) ** 2)
 
 
 def matched_load(spec: NetworkSpec) -> MatchedLoad:
@@ -193,15 +206,15 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
     if bad.size:
         raise ValidationError(f"load decay must be >= 0: {float(bad[0])!r}")
 
-    x, y = _resolvent_pair(spec)
+    matrix, x, y = _resolvent_pair(spec)
     load = spec.load.node
-    h_l = 1j * spec.load.delta_omega - gamma_values / 2.0
+    h_l = _load_term(spec.load.delta_omega, gamma_values)
     rhs = 1j * drive_vector(spec)
     with np.errstate(all="ignore"):
         amp_load = 1j * y[load] / (1.0 + h_l * x[load])
         amps = 1j * y - np.outer(h_l * amp_load, x)
         amps[:, load] = amp_load
-        residual_rows = amps @ _steady_matrix(spec, loaded=False).T - rhs
+        residual_rows = amps @ matrix.T - rhs
         residual_rows[:, load] += h_l * amp_load
         residual = np.linalg.norm(residual_rows, axis=1).max(initial=0.0)
         if not residual <= RESIDUAL_RTOL * np.linalg.norm(rhs):
@@ -232,11 +245,11 @@ def load_power_map(spec, delta_values, gamma_values, chunk=2048) -> np.ndarray:
     """
     delta_values = np.asarray(delta_values, dtype=float)
     gamma_values = np.asarray(gamma_values, dtype=float)
-    base = _steady_matrix(spec, loaded=False)
+    base = effective_matrix(spec, loaded=False)
     rhs = 1j * drive_vector(spec)
     load = spec.load.node
 
-    h_l = (1j * delta_values[:, None] - gamma_values[None, :] / 2.0).ravel()
+    h_l = _load_term(delta_values[:, None], gamma_values[None, :]).ravel()
     amp_load = np.empty(h_l.size, dtype=complex)
     scale = np.linalg.norm(rhs)
     # One stack of full matrices for every chunk; only the [L, L] entries
@@ -283,9 +296,6 @@ class GridCheck:
 
 
 def _solve_load_power(spec, delta_omega, gamma_load) -> float:
-    from .power import load_power  # local import to avoid a cycle
-    from .steady import solve_amplitudes
-
     probe = spec.with_load(delta_omega=delta_omega, gamma_load=gamma_load)
     return load_power(probe, solve_amplitudes(probe))
 

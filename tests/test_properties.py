@@ -1,7 +1,7 @@
-"""Property tests of the single-node reduction on random weak-coupling
-networks: the resolvent and elimination routes agree, the reduced load
-amplitude equals the full solve, and a matched load takes at most half the
-power."""
+"""Property tests on random weak-coupling networks: the resolvent and
+elimination routes agree, the reduced load amplitude equals the full solve,
+a matched load takes at most half the power, the steady state balances
+input against dissipated power, and configs survive a round trip."""
 import numpy as np
 import pytest
 
@@ -88,3 +88,20 @@ def test_matched_load_takes_at_most_half(spec):
     probe = spec.with_load(delta_omega=matched.delta_omega, gamma_load=matched.gamma_load)
     report = qnet.power_report(probe, qnet.solve_amplitudes(probe))
     assert report.eta is None or report.eta <= 0.5 + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(weak_coupling_networks())
+def test_power_balance(spec):
+    report = qnet.power_report(spec, qnet.solve_amplitudes(spec))
+    assert report.balance_residual <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(weak_coupling_networks())
+def test_config_round_trip(spec):
+    back = qnet.from_config_dict(qnet.to_config_dict(spec))
+    for name in ("node_frequencies", "intrinsic_decays", "couplings"):
+        assert np.array_equal(getattr(back, name), getattr(spec, name))
+    assert back.drive == spec.drive
+    assert back.load == spec.load

@@ -33,29 +33,31 @@ def _two_node(omega_d, gamma=(1.0, 1.0), j=2.5, omega_0=1000.0, rabi=0.1,
 
 class TestEffectiveMatrix:
     def test_one_node_zero_detuning(self):
-        em = qnet.effective_matrix(_one_node(omega_d=1000.0, gamma=0.8))
-        assert em.h_tilde.shape == (1, 1)
-        assert em.h_tilde[0, 0] == -0.4 + 0.0j
+        m = qnet.effective_matrix(_one_node(omega_d=1000.0, gamma=0.8), loaded=False)
+        assert m.shape == (1, 1)
+        assert m[0, 0] == -0.4 + 0.0j
 
     def test_two_node_detuned_by_coupling(self):
         j, g1, g2 = 2.5, 1.0, 0.5
-        em = qnet.effective_matrix(_two_node(omega_d=1000.0 + j, gamma=(g1, g2), j=j))
+        m = qnet.effective_matrix(_two_node(omega_d=1000.0 + j, gamma=(g1, g2), j=j), loaded=False)
         expected = np.array(
             [[1j * j - g1 / 2, -1j * j], [-1j * j, 1j * j - g2 / 2]]
         )
-        assert np.allclose(em.h_tilde, expected, rtol=0, atol=1e-15)
+        assert np.allclose(m, expected, rtol=0, atol=1e-15)
 
     def test_load_entry(self):
-        em = qnet.effective_matrix(
-            _two_node(omega_d=1000.0, delta_omega=1.0, gamma_load=4.0)
-        )
-        assert em.h_load[1, 1] == 1j * 1.0 - 2.0
-        assert em.h_load[0, 0] == 0.0
+        spec = _two_node(omega_d=1000.0, delta_omega=1.0, gamma_load=4.0)
+        load_part = qnet.effective_matrix(spec) - qnet.effective_matrix(spec, loaded=False)
+        h_l = steady._load_term(spec.load.delta_omega, spec.load.gamma_load)
+        assert h_l == 1j * 1.0 - 2.0
+        expected = np.zeros((2, 2), dtype=complex)
+        expected[1, 1] = h_l
+        assert np.array_equal(load_part, expected)
 
     def test_total_diagonal_real_parts_nonpositive(self, small_corpus):
         for spec in small_corpus:
-            total = qnet.effective_matrix(spec).total
-            assert np.all(np.real(np.diag(total)) <= 0.0)
+            m = qnet.effective_matrix(spec)
+            assert np.all(np.real(np.diag(m)) <= 0.0)
 
 
 class TestSolveAmplitudes:
@@ -78,11 +80,11 @@ class TestSolveAmplitudes:
 
     def test_residual_contract(self, small_corpus):
         for spec in small_corpus:
-            em = qnet.effective_matrix(spec)
+            m = qnet.effective_matrix(spec)
             rhs = np.zeros(spec.n_nodes, dtype=complex)
             rhs[spec.drive.node] = 1j * spec.drive.rabi
             state = qnet.solve_amplitudes(spec)
-            residual = np.linalg.norm(em.total @ state.amplitudes - rhs)
+            residual = np.linalg.norm(m @ state.amplitudes - rhs)
             assert residual <= 1e-10 * np.linalg.norm(rhs)
 
     def test_lossless_dark_mode_is_singular(self):
@@ -108,9 +110,8 @@ class TestConditionThreshold:
         spec = _two_node(omega_d=1002.5, gamma=(1e-8, 1e-8), j=2.5)
         rhs = np.zeros(spec.n_nodes, dtype=complex)
         rhs[spec.drive.node] = 1j * spec.drive.rabi
-        em = qnet.effective_matrix(spec)
         state = qnet.solve_amplitudes(spec)
-        residual = np.linalg.norm(em.total @ state.amplitudes - rhs)
+        residual = np.linalg.norm(qnet.effective_matrix(spec) @ state.amplitudes - rhs)
         assert residual <= 1e-10 * np.linalg.norm(rhs)
 
         th = qnet.thevenin_equivalent(spec)
@@ -126,7 +127,7 @@ class TestFactorization:
         # zgecon estimates |A^-1|_1 from below and is rarely off by more
         # than a factor of 3 (Higham, ch. 15)
         for seed in range(5):
-            matrix = steady._steady_matrix(make_random_network(n, seed), loaded)
+            matrix = qnet.effective_matrix(make_random_network(n, seed), loaded)
             cond1 = np.linalg.cond(matrix, 1)
             estimate = 1.0 / steady._Factorization(matrix).rcond
             assert cond1 / 3.0 <= estimate <= cond1 * (1.0 + 1e-12)
@@ -135,11 +136,6 @@ class TestFactorization:
         matrix = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
         with pytest.raises(SingularNetwork, match="zero pivot"):
             steady._Factorization(matrix)
-
-    def test_loaded_matrix_is_effective_total(self, small_corpus):
-        for spec in small_corpus:
-            loaded = steady._steady_matrix(spec, loaded=True)
-            assert np.array_equal(loaded, qnet.effective_matrix(spec).total)
 
 
 class TestSpectralDensity:

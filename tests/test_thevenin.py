@@ -145,8 +145,12 @@ class TestLoadAmplitude:
 
     def test_exact_cancellation_raises(self):
         th = qnet.TheveninEquivalent(h_th=1.0 + 0.0j, omega_th=0.1, load_node=0)
-        with pytest.raises(SingularNetwork):
-            qnet.load_amplitude_from_thevenin(th, qnet.LoadSpec(node=0, gamma_load=2.0))
+        load = qnet.LoadSpec(node=0, gamma_load=2.0)
+        message = "equivalent energy exactly cancels the load term"
+        with pytest.raises(SingularNetwork, match=message):
+            qnet.load_amplitude_from_thevenin(th, load)
+        with pytest.raises(SingularNetwork, match=message):
+            qnet.load_power_thevenin(th, load, 1000.0)
 
 
 def _weak_loss_chain(n):
@@ -168,7 +172,7 @@ class TestDesignSize:
         rhs = np.zeros(spec.n_nodes, dtype=complex)
         rhs[spec.drive.node] = 1j * spec.drive.rabi
         state = qnet.solve_amplitudes(spec)
-        residual = np.linalg.norm(qnet.effective_matrix(spec).total @ state.amplitudes - rhs)
+        residual = np.linalg.norm(qnet.effective_matrix(spec) @ state.amplitudes - rhs)
         assert residual <= 1e-10 * np.linalg.norm(rhs)
 
         full = state.amplitudes[spec.load.node]
