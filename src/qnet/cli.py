@@ -8,9 +8,9 @@
     qnet gen      {chain,random} --nodes N [generator flags] --out net.json
     qnet oracle   --config net.json [--n-max N] [--out report.json]
 
-Exit codes: 0 success, 2 bad input, 3 singular network or decoupled load,
-4 infeasible match, 5 Fock-space capacity exceeded. Outputs are
-deterministic: identical invocations produce byte-identical bytes.
+Exit codes: 0 success, 2 bad input, 3 singular network, decoupled load or
+a result that overflows, 4 infeasible match, 5 Fock-space capacity exceeded.
+Outputs are deterministic: identical invocations produce identical bytes.
 """
 from __future__ import annotations
 
@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    QnetError,
-    UnphysicalMatch,
-    ValidationError,
-)
+from .errors import CapacityError, QnetError, UnphysicalMatch, ValidationError
 from .lindblad import oracle_report
 from .network import DriveSpec, LoadSpec, build_chain, build_random_all_to_all, load_config, save_config
 from .power import power_report
@@ -110,7 +105,7 @@ def _cmd_match(args) -> int:
         "delta_omega": matched.delta_omega,
         "gamma_load": matched.gamma_load,
         "p_max": matched.p_max,
-        "feasible": matched.feasible,
+        "feasible": True,
     }
     if args.grid_check:
         gc = grid_check(spec)

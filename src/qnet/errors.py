@@ -22,30 +22,26 @@ class DarkNode(QnetError):
 class PivotBreakdown(QnetError):
     """Gaussian elimination hit an exactly zero pivot."""
 
-    def __init__(self, node, message=None):
+    def __init__(self, node):
         self.node = node
-        super().__init__(message or f"zero elimination pivot at node {node}")
+        super().__init__(f"zero elimination pivot at node {node}")
 
 
 class UnphysicalMatch(QnetError):
     """No passive load attains the power optimum (effective network decay
     toward the load is not strictly positive)."""
 
-    def __init__(self, gamma_th, message=None):
+    def __init__(self, gamma_th):
         self.gamma_th = gamma_th
-        super().__init__(
-            message or f"matched load infeasible: gamma_th = {gamma_th!r} <= 0"
-        )
+        super().__init__(f"matched load infeasible: gamma_th = {gamma_th!r} <= 0")
 
 
 class ConvergenceFailure(QnetError):
     """Time-domain integration did not reach the requested residual."""
 
-    def __init__(self, residual, message=None):
+    def __init__(self, residual):
         self.residual = residual
-        super().__init__(
-            message or f"integration stopped with residual {residual:.3e}"
-        )
+        super().__init__(f"integration stopped with residual {residual:.3e}")
 
 
 class InvalidMoments(QnetError):

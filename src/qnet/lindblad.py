@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .errors import CapacityError, NonUniqueSteadyState, QnetError, ValidationError
+from .errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
 from .network import NetworkSpec, require_valid
 from .power import general_power_from_correlators, input_power, load_power, radiated_power
 from .steady import SteadyState, solve_amplitudes
@@ -109,38 +109,33 @@ def _hamiltonian(spec: NetworkSpec, cfg: FockConfig, ops):
 
 def build_liouvillian(spec: NetworkSpec, cfg: FockConfig):
     """Vectorized generator of the dissipative dynamics (sparse, column
-    stacking convention: d vec(rho)/dt = L vec(rho))."""
+    stacking convention: d vec(rho)/dt = L vec(rho)). Raises
+    SingularNetwork when an entry overflows double precision."""
     require_valid(spec)
     if cfg.nodes != spec.n_nodes:
         raise ValidationError(
             f"FockConfig is for {cfg.nodes} nodes but the network has {spec.n_nodes}"
         )
     ops = _annihilators(cfg)
-    h = _hamiltonian(spec, cfg, ops)
     eye = sp.identity(cfg.dim, format="csr")
-
-    liou = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
     rates = np.array(spec.intrinsic_decays, dtype=float)
-    load_rates = np.zeros(cfg.nodes)
-    load_rates[spec.load.node] = spec.load.gamma_load
-    for k, a_k in enumerate(ops):
-        rate = rates[k] + load_rates[k]
-        if rate == 0.0:
-            continue
-        number = a_k.conj().T @ a_k
-        liou = liou + rate * (
-            sp.kron(a_k.conj(), a_k)
-            - 0.5 * sp.kron(eye, number)
-            - 0.5 * sp.kron(number.T, eye)
-        )
-    return liou.tocsr()
-
-
-def _trace_row(dim: int):
-    """Row vector that reads tr(rho) off vec(rho)."""
-    row = np.zeros(dim * dim)
-    row[:: dim + 1] = 1.0
-    return row
+    rates[spec.load.node] += spec.load.gamma_load
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _hamiltonian(spec, cfg, ops)
+        liou = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
+        for rate, a_k in zip(rates, ops):
+            if rate == 0.0:
+                continue
+            number = a_k.conj().T @ a_k
+            liou = liou + rate * (
+                sp.kron(a_k.conj(), a_k)
+                - 0.5 * sp.kron(eye, number)
+                - 0.5 * sp.kron(number.T, eye)
+            )
+    liou = liou.tocsr()
+    if not np.isfinite(liou.data).all():
+        raise SingularNetwork("generator entries overflow double precision")
+    return liou
 
 
 def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
@@ -159,13 +154,14 @@ def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
             f"generator shape {liouvillian.shape} does not match dim {dim}"
         )
 
-    generator = liouvillian if sp.issparse(liouvillian) else sp.csr_matrix(liouvillian)
-    modified = sp.lil_matrix(generator.tocsr(), dtype=complex)
-    modified[0, :] = _trace_row(dim)
+    generator = sp.csr_matrix(liouvillian)
+    # the row that reads tr(rho) off vec(rho): ones at every diagonal position
+    trace_row = sp.csr_matrix((np.ones(dim), np.arange(0, size, dim + 1), [0, dim]), shape=(1, size))
+    modified = sp.vstack([trace_row, generator[1:]], format="csc")
     rhs = np.zeros(size, dtype=complex)
     rhs[0] = 1.0
     try:
-        solution = sp.linalg.splu(modified.tocsc()).solve(rhs)
+        solution = sp.linalg.splu(modified).solve(rhs)
     except RuntimeError as exc:
         raise NonUniqueSteadyState(str(exc)) from None
     residual = np.linalg.norm(generator @ solution)
@@ -251,7 +247,7 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
     p_r_oracle, p_l_oracle = general_power_from_correlators(spec, amps, corr)
     p_r_closed = radiated_power(spec, linear)
     p_l_closed = load_power(spec, linear)
-    p_in_oracle = input_power(spec, SteadyState(amplitudes=amps, spec=spec))
+    p_in_oracle = input_power(spec, SteadyState(amplitudes=amps))
     p_out = p_r_oracle + p_l_oracle
 
     def rel(a, b):

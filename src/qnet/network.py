@@ -80,19 +80,19 @@ class NetworkSpec:
     def n_nodes(self) -> int:
         return len(self.node_frequencies)
 
-    def with_load(self, delta_omega=None, gamma_load=None, node=None) -> "NetworkSpec":
+    def with_load(self, delta_omega=None, gamma_load=None) -> "NetworkSpec":
         """Copy of this spec with load parameters replaced."""
         load = LoadSpec(
-            node=self.load.node if node is None else node,
+            node=self.load.node,
             delta_omega=self.load.delta_omega if delta_omega is None else delta_omega,
             gamma_load=self.load.gamma_load if gamma_load is None else gamma_load,
         )
         return dataclasses.replace(self, load=load)
 
-    def with_drive(self, rabi=None, omega_d=None, node=None) -> "NetworkSpec":
+    def with_drive(self, rabi=None, omega_d=None) -> "NetworkSpec":
         """Copy of this spec with drive parameters replaced."""
         drive = DriveSpec(
-            node=self.drive.node if node is None else node,
+            node=self.drive.node,
             omega_d=self.drive.omega_d if omega_d is None else omega_d,
             rabi=self.drive.rabi if rabi is None else rabi,
         )
@@ -269,7 +269,7 @@ def _get(mapping, key, kind, where):
         raise ValidationError(f"field '{key}' in {where} must be int, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(
             f"field '{key}' in {where} must be {kind.__name__}, got {value!r}"
         ) from None
@@ -286,9 +286,12 @@ def from_config_dict(data: dict) -> NetworkSpec:
     omega = np.array([_get(nd, "omega", float, f"nodes[{k}]") for k, nd in enumerate(nodes)])
     gamma = np.array([_get(nd, "gamma", float, f"nodes[{k}]") for k, nd in enumerate(nodes)])
 
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise ValidationError(f"'edges' must be a list, got {edges!r}")
     couplings = np.zeros((n, n))
     seen = set()
-    for k, edge in enumerate(data.get("edges", [])):
+    for k, edge in enumerate(edges):
         i = _get(edge, "i", int, f"edges[{k}]")
         j = _get(edge, "j", int, f"edges[{k}]")
         val = _get(edge, "J", float, f"edges[{k}]")
@@ -362,6 +365,8 @@ def load_config(path) -> NetworkSpec:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        except ValueError as exc:  # bytes not in UTF-8, or an int past the digit limit
+            raise ValidationError(f"{path}: {exc}") from None
     return from_config_dict(data)
 
 

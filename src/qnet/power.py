@@ -8,11 +8,12 @@ the balance holds for complex drive amplitudes as well.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMoments, UndefinedEfficiency, UnsupportedTopology
+from .errors import InvalidMoments, SingularNetwork, UndefinedEfficiency, UnsupportedTopology
 from .network import NetworkSpec
 from .steady import SteadyState, effective_matrix, _frequency_matrix
 
@@ -144,10 +145,14 @@ def matched_efficiency_two_node(spec: NetworkSpec) -> float:
 
 
 def power_report(spec: NetworkSpec, state: SteadyState) -> PowerReport:
-    """Assemble the full power bookkeeping for a steady state."""
-    p_in = input_power(spec, state)
-    p_r = radiated_power(spec, state)
-    p_l = load_power(spec, state)
+    """Assemble the full power bookkeeping for a steady state. Raises
+    SingularNetwork when the powers overflow double precision."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_in = input_power(spec, state)
+        p_r = radiated_power(spec, state)
+        p_l = load_power(spec, state)
+    if not math.isfinite(abs(p_in) + p_r + p_l):
+        raise SingularNetwork(f"power overflows: p_in={p_in!r}, p_r={p_r!r}, p_l={p_l!r}")
     eta = None if p_l + p_r == 0 else float(p_l / (p_l + p_r))
     residual = abs(p_in - p_r - p_l) / max(p_in, _EPS)
     return PowerReport(p_in=p_in, p_r=p_r, p_l=p_l, eta=eta, balance_residual=residual)

@@ -45,7 +45,6 @@ class SteadyState:
     """Rotating-frame mean amplitudes of a driven network."""
 
     amplitudes: np.ndarray
-    spec: NetworkSpec
 
     def __post_init__(self):
         arr = np.array(self.amplitudes, dtype=complex)
@@ -127,24 +126,24 @@ def solve_amplitudes(spec: NetworkSpec) -> SteadyState:
     SingularNetwork when a pivot is exactly zero or the 1-norm condition
     estimate (LAPACK zgecon) exceeds COND_LIMIT (physically, driving a
     lossless dark mode exactly on resonance), or when the residual
-    contract cannot be met.
+    contract cannot be met, as when the residual or its bound overflows.
     """
     matrix = effective_matrix(spec)
     rhs = 1j * drive_vector(spec)
     factors = _Factorization(matrix)
     amps = factors.solve(rhs)
 
-    scale = np.linalg.norm(rhs)
-    residual = np.linalg.norm(matrix @ amps - rhs)
-    if residual > RESIDUAL_RTOL * scale:
-        # one step of iterative refinement, then give up
-        amps = amps + factors.solve(rhs - matrix @ amps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = RESIDUAL_RTOL * np.linalg.norm(rhs)
         residual = np.linalg.norm(matrix @ amps - rhs)
-        if residual > RESIDUAL_RTOL * scale:
-            raise SingularNetwork(
-                f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|"
-            )
-    return SteadyState(amplitudes=amps, spec=spec)
+        if residual > bound:
+            # one step of iterative refinement, then give up
+            amps = amps + factors.solve(rhs - matrix @ amps)
+            residual = np.linalg.norm(matrix @ amps - rhs)
+    # written this way round so that an overflowing residual or bound fails too
+    if not residual <= bound < math.inf:
+        raise SingularNetwork(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|")
+    return SteadyState(amplitudes=amps)
 
 
 def spectral_density(spec: NetworkSpec, omega: float) -> float:
@@ -284,4 +283,4 @@ def time_domain_steady_state(spec, t_final=None, dt=None) -> SteadyState:
     amps, _steps, residual = _rk4_fixed_point(matrix, forcing, float(dt), max_steps, tol)
     if residual > tol:
         raise ConvergenceFailure(residual)
-    return SteadyState(amplitudes=amps, spec=spec)
+    return SteadyState(amplitudes=amps)

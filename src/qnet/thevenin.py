@@ -14,6 +14,7 @@ Delivered power is maximal for the conjugate match h_L = conj(h_th).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,9 @@ __all__ = [
 # Resolvent elements smaller than this (relative to the largest element of
 # the same resolvent column) count as a decoupled load node.
 DARK_RTOL = 1e-14
+# Grid points solved per batch by load_power_map; the cost per point
+# hardly depends on it.
+GRID_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,6 @@ class MatchedLoad:
     delta_omega: float
     gamma_load: float
     p_max: float
-    feasible: bool = True
 
 
 def _resolvent_pair(spec: NetworkSpec):
@@ -170,12 +173,16 @@ def matched_load(spec: NetworkSpec) -> MatchedLoad:
     gamma_th = th.gamma_th
     if gamma_th <= 0.0 or gamma_th <= 1e-14 * abs(th.h_th):
         raise UnphysicalMatch(gamma_th)
-    p_max = spec.drive.omega_d * abs(th.omega_th) ** 2 / gamma_th
+    try:
+        p_max = spec.drive.omega_d * abs(th.omega_th) ** 2 / gamma_th
+    except OverflowError:  # float ** raises where float * returns inf
+        p_max = math.inf
+    if not math.isfinite(p_max):
+        raise SingularNetwork(f"matched power overflows: p_max = {p_max!r}")
     return MatchedLoad(
         delta_omega=-th.delta_omega_th,
         gamma_load=gamma_th,
         p_max=float(p_max),
-        feasible=True,
     )
 
 
@@ -235,7 +242,7 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
 # --- grid-search verification ------------------------------------------------
 
 
-def load_power_map(spec, delta_values, gamma_values, chunk=2048) -> np.ndarray:
+def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     """Delivered power from full network solves over a load-parameter grid.
 
     Every grid point is an independent dense solve of the complete
@@ -254,12 +261,12 @@ def load_power_map(spec, delta_values, gamma_values, chunk=2048) -> np.ndarray:
     scale = np.linalg.norm(rhs)
     # One stack of full matrices for every chunk; only the [L, L] entries
     # differ between grid points, so only they are rewritten per chunk.
-    stack = np.empty((min(chunk, h_l.size),) + base.shape, dtype=complex)
+    stack = np.empty((min(GRID_CHUNK, h_l.size),) + base.shape, dtype=complex)
     stack[...] = base
     # trailing singleton keeps batched solve in matrix mode on numpy 2.x
     rhs_stack = np.broadcast_to(rhs[:, None], (stack.shape[0], rhs.size, 1))
-    for start in range(0, h_l.size, chunk):
-        part = h_l[start : start + chunk]
+    for start in range(0, h_l.size, GRID_CHUNK):
+        part = h_l[start : start + GRID_CHUNK]
         mats = stack[: part.size]
         mats[:, load, load] = base[load, load] + part
         try:
@@ -271,7 +278,7 @@ def load_power_map(spec, delta_values, gamma_values, chunk=2048) -> np.ndarray:
             raise SingularNetwork(
                 f"grid solve residual {residuals.max():.3e} exceeds contract"
             )
-        amp_load[start : start + chunk] = sols[:, load, 0]
+        amp_load[start : start + GRID_CHUNK] = sols[:, load, 0]
 
     power = spec.drive.omega_d * gamma_values[None, :] * np.abs(
         amp_load.reshape(delta_values.size, gamma_values.size)
@@ -300,12 +307,13 @@ def _solve_load_power(spec, delta_omega, gamma_load) -> float:
     return load_power(probe, solve_amplitudes(probe))
 
 
-def _refine_axis(evaluate, lo, hi, rel_width=1e-9, max_iter=120):
+def _refine_axis(evaluate, lo, hi):
     """Shrink [lo, hi] around the maximum of a unimodal 1-D section by
-    repeated interval bisection (discard the losing third each step)."""
+    ternary search (discard the losing third each step) until it is
+    1e-9 of its first width, or for at most 120 steps."""
     span0 = hi - lo
-    for _ in range(max_iter):
-        if hi - lo <= rel_width * span0:
+    for _ in range(120):
+        if hi - lo <= 1e-9 * span0:
             break
         third = (hi - lo) / 3.0
         m1 = lo + third
@@ -318,24 +326,21 @@ def _refine_axis(evaluate, lo, hi, rel_width=1e-9, max_iter=120):
     return mid, evaluate(mid)
 
 
-def grid_check(spec, n_points=200, delta_window=0.1, gamma_window=0.2, refine=True) -> GridCheck:
+def grid_check(spec, n_points=200) -> GridCheck:
     """Verify the matched-load prediction against brute-force search.
 
     Scans an n_points x n_points grid of load settings centered on the
-    prediction (windows sized relative to gamma_th), locates the argmax of
-    the full-solve delivered power, then optionally refines along each axis
-    to pin the optimum far below grid resolution.
+    prediction, delta_omega within +-0.1 * gamma_th and gamma_load within
+    (1 +- 0.2) * gamma_th, locates the argmax of the full-solve delivered
+    power, then refines along each axis to pin the optimum far below grid
+    resolution.
     """
     predicted = matched_load(spec)
     g_th = predicted.gamma_load
     deltas = np.linspace(
-        predicted.delta_omega - delta_window * g_th,
-        predicted.delta_omega + delta_window * g_th,
-        n_points,
+        predicted.delta_omega - 0.1 * g_th, predicted.delta_omega + 0.1 * g_th, n_points
     )
-    gammas = np.linspace(
-        g_th * (1.0 - gamma_window), g_th * (1.0 + gamma_window), n_points
-    )
+    gammas = np.linspace(g_th * (1.0 - 0.2), g_th * (1.0 + 0.2), n_points)
     power = load_power_map(spec, deltas, gammas)
     i, j = np.unravel_index(int(np.argmax(power)), power.shape)
     cell_delta = deltas[1] - deltas[0]
@@ -345,19 +350,16 @@ def grid_check(spec, n_points=200, delta_window=0.1, gamma_window=0.2, refine=Tr
         and abs(gammas[j] - predicted.gamma_load) <= cell_gamma * (1 + 1e-12)
     )
 
-    refined_delta, refined_gamma = float(deltas[i]), float(gammas[j])
-    p_refined = float(power[i, j])
-    if refine:
-        refined_delta, _ = _refine_axis(
-            lambda d: _solve_load_power(spec, d, gammas[j]),
-            deltas[max(i - 1, 0)],
-            deltas[min(i + 1, n_points - 1)],
-        )
-        refined_gamma, p_refined = _refine_axis(
-            lambda g: _solve_load_power(spec, refined_delta, g),
-            gammas[max(j - 1, 0)],
-            gammas[min(j + 1, n_points - 1)],
-        )
+    refined_delta, _ = _refine_axis(
+        lambda d: _solve_load_power(spec, d, gammas[j]),
+        deltas[max(i - 1, 0)],
+        deltas[min(i + 1, n_points - 1)],
+    )
+    refined_gamma, p_refined = _refine_axis(
+        lambda g: _solve_load_power(spec, refined_delta, g),
+        gammas[max(j - 1, 0)],
+        gammas[min(j + 1, n_points - 1)],
+    )
 
     return GridCheck(
         predicted=predicted,

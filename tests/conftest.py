@@ -1,4 +1,6 @@
 """Shared corpus of seeded random networks and load settings."""
+import json
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,13 @@ def load_settings(network_id, count=LOADS_PER_NETWORK):
         (float(rng.uniform(-3.0, 3.0)), float(np.exp(rng.uniform(np.log(0.05), np.log(10.0)))))
         for _ in range(count)
     ]
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not strict JSON."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ import pytest
 import qnet
 from qnet.cli import SweepRequest, main, run_sweep
 
+from conftest import strict_json
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -31,6 +33,16 @@ def run_quietly(capsys, *argv):
 def write_config(tmp_path, spec, name="net.json", seed=None):
     path = tmp_path / name
     qnet.save_config(spec, path, seed=seed)
+    return str(path)
+
+
+def bundled_with(tmp_path, section, key, value):
+    """configs/two_node.json with one field of one section replaced."""
+    data = json.loads((CONFIGS / "two_node.json").read_text())
+    target = data[section][0] if section in ("nodes", "edges") else data[section]
+    target[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -121,6 +133,54 @@ class TestSolve:
         assert code == 2
         assert err.startswith("qnet: input error:") and "finite" in err
 
+    def test_config_type_errors_exit_2(self, capsys, tmp_path):
+        data = json.loads((CONFIGS / "two_node.json").read_text())
+        data["edges"] = None
+        data["nodes"][0]["omega"] = 10**400
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("qnet: input error: field 'omega' in nodes[0] must be float")
+        data["nodes"][0]["omega"] = 1000.0
+        path.write_text(json.dumps(data))
+        code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "qnet: input error: 'edges' must be a list, got None\n"
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("solve", "rabi_re", 1e154),  # powers overflow
+            ("solve", "rabi_re", 1e308),  # the residual and its bound overflow
+            ("solve", "rabi_im", -1e308),
+            ("solve", "omega_d", 1e308),  # omega_d * gamma_load overflows against |a|^2 = 0
+            ("match", "rabi_re", 1e154),  # p_max overflows
+            ("match", "rabi_re", 1e308),  # |omega_th| ** 2 overflows
+        ],
+    )
+    def test_non_finite_result_exits_3(self, capsys, tmp_path, command, key, value):
+        path = bundled_with(tmp_path, "drive", key, value)
+        code, out, err = run_quietly(capsys, command, "--config", path)
+        assert (code, out) == (3, "")
+        assert err.startswith("qnet: ") and err.count("\n") == 1
+        assert "overflow" in err or "residual" in err
+
+    def test_overflowing_load_decay_config(self, capsys, tmp_path):
+        # gamma_load = 1e308 is finite input: every command that reads the
+        # load exits 3, and thevenin and match, which never read it, succeed
+        path = bundled_with(tmp_path, "load", "gamma_load", 1e308)
+        code, out, err = run_quietly(capsys, "solve", "--config", path)
+        assert (code, out) == (3, "")
+        assert err.startswith("qnet: condition estimate")
+        code, out, err = run_quietly(capsys, "oracle", "--config", path, "--n-max", "2")
+        assert (code, out) == (3, "")
+        assert err == "qnet: generator entries overflow double precision\n"
+        for command in ("thevenin", "match"):
+            code, out, _ = run_quietly(capsys, command, "--config", path)
+            assert code == 0
+            strict_json(out)
+
 
 class TestThevenin:
     def test_routes_agree(self, capsys, tmp_path):
@@ -151,6 +211,11 @@ class TestMatch:
         payload = json.loads(out)
         assert payload["grid_check"]["within_one_cell"] is True
         assert payload["grid_check"]["p_refined_rel_error"] < 1e-10
+
+    def test_feasible_is_written_true(self, capsys):
+        code, out, _ = run(capsys, "match", "--config", str(CONFIGS / "two_node.json"))
+        assert code == 0
+        assert json.loads(out)["feasible"] is True
 
     def test_lossless_network_exits_4(self, capsys, tmp_path):
         path = two_node_config(

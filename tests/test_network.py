@@ -214,6 +214,45 @@ class TestConfigIO:
         with pytest.raises(ValidationError, match="out of range"):
             qnet.from_config_dict(data)
 
+    @pytest.mark.parametrize("edges", [None, 5, 1.5, True, "0-1", {"i": 0, "j": 1, "J": 1.0}])
+    def test_edges_not_a_list_rejected(self, edges):
+        data = {
+            "nodes": [{"omega": 1000.0, "gamma": 1.0}] * 2,
+            "edges": edges,
+            "drive": {"node": 0, "omega_d": 1000.0, "rabi_re": 0.1, "rabi_im": 0.0},
+            "load": {"node": 1, "delta_omega": 0.0, "gamma_load": 1.0},
+        }
+        with pytest.raises(ValidationError, match="'edges' must be a list"):
+            qnet.from_config_dict(data)
+
+    @pytest.mark.parametrize(
+        "section,key", [("nodes", "omega"), ("nodes", "gamma"), ("edges", "J"),
+                        ("drive", "omega_d"), ("drive", "rabi_re"), ("load", "gamma_load")]
+    )
+    def test_integer_too_large_for_a_float_rejected(self, section, key):
+        data = {
+            "nodes": [{"omega": 1000.0, "gamma": 1.0}] * 2,
+            "edges": [{"i": 0, "j": 1, "J": 1.0}],
+            "drive": {"node": 0, "omega_d": 1000.0, "rabi_re": 0.1, "rabi_im": 0.0},
+            "load": {"node": 1, "delta_omega": 0.0, "gamma_load": 1.0},
+        }
+        target = data[section][0] if section in ("nodes", "edges") else data[section]
+        target[key] = 10**400
+        with pytest.raises(ValidationError, match=f"'{key}'.*must be float"):
+            qnet.from_config_dict(data)
+
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"nodes": 1' + "0" * 5000 + "}")
+        with pytest.raises(ValidationError, match="digits"):
+            qnet.load_config(path)
+
+    def test_bytes_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'\xff\xfe{"nodes": []}')
+        with pytest.raises(ValidationError, match="utf-8"):
+            qnet.load_config(path)
+
 
 class TestSpecValueSemantics:
     def test_arrays_read_only(self):

@@ -1,7 +1,16 @@
 """Property tests on random weak-coupling networks: the resolvent and
 elimination routes agree, the reduced load amplitude equals the full solve,
-a matched load takes at most half the power, the steady state balances
-input against dissipated power, and configs survive a round trip."""
+the equivalent is passive, a matched load takes at most half the power,
+the steady state balances input against dissipated power, and configs
+survive a round trip. A config fuzzer checks that the CLI answers every
+mutated config with a documented exit code and strict JSON."""
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +18,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import qnet  # noqa: E402
+from qnet.cli import main  # noqa: E402
+
+from conftest import strict_json  # noqa: E402
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -83,6 +95,14 @@ def test_reduced_load_amplitude_matches_full_solve(spec):
 
 @settings(max_examples=100, deadline=None)
 @given(weak_coupling_networks())
+def test_thevenin_equivalent_is_passive(spec):
+    # every loss is at least 0.1, so the Hermitian part of H is -Gamma/2 < 0,
+    # Re x_L = Re (H^-1)_LL < 0 and gamma_th = -2 Re(1 / x_L) > 0
+    assert qnet.thevenin_equivalent(spec).gamma_th > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(weak_coupling_networks())
 def test_matched_load_takes_at_most_half(spec):
     matched = qnet.matched_load(spec)
     probe = spec.with_load(delta_omega=matched.delta_omega, gamma_load=matched.gamma_load)
@@ -105,3 +125,60 @@ def test_config_round_trip(spec):
         assert np.array_equal(getattr(back, name), getattr(spec, name))
     assert back.drive == spec.drive
     assert back.load == spec.load
+
+
+_BUNDLED = json.loads((Path(__file__).resolve().parent.parent / "configs" / "two_node.json").read_text())
+_DELETE = object()
+
+
+def _field_paths(node, prefix=()):
+    """Every key path into a parsed config, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    paths = [prefix] if prefix else []
+    for key, child in items:
+        paths += _field_paths(child, prefix + (key,))
+    return paths
+
+
+_replacements = st.one_of(
+    st.just(_DELETE),
+    st.none(),
+    st.booleans(),
+    st.integers(10**300, 10**400) | st.integers(-(10**400), -(10**300)),
+    st.sampled_from([1e308, -1e308]),
+    st.text(max_size=5),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_field_paths(_BUNDLED)), _replacements)
+@example(("edges",), None)
+@example(("edges",), 5)
+@example(("nodes", 0, "omega"), 10**400)
+@example(("drive", "rabi_re"), 1e154)
+@example(("drive", "rabi_re"), 1e308)
+@example(("drive", "omega_d"), 1e308)
+@example(("load", "gamma_load"), 1e308)
+def test_mutated_config_gets_a_documented_answer(path, value):
+    data = copy.deepcopy(_BUNDLED)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "net.json"
+        config.write_text(json.dumps(data))
+        for command in ("solve", "thevenin", "match"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(config)])
+            assert code in (0, 2, 3, 4, 5)
+            if code == 0:
+                strict_json(out.getvalue())
+            else:
+                assert out.getvalue() == "" and err.getvalue().startswith("qnet: ")

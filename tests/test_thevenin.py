@@ -187,7 +187,6 @@ class TestMatchedLoad:
         assert matched.delta_omega == pytest.approx(0.0, abs=1e-14)
         assert matched.gamma_load == pytest.approx(4 * j**2 / g1, rel=1e-12)
         assert matched.p_max == pytest.approx(omega_0 * rabi**2 / g1, rel=1e-12)
-        assert matched.feasible
 
     def test_single_node_resonant(self):
         gamma, rabi, omega_0 = 1.1, 0.4, 1000.0
