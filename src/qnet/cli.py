@@ -59,13 +59,7 @@ def _cmd_solve(args) -> int:
     report = power_report(spec, state)
     payload = {
         "amplitudes": [_complex_dict(a) for a in state.amplitudes],
-        "power": {
-            "p_in": report.p_in,
-            "p_r": report.p_r,
-            "p_l": report.p_l,
-            "eta": report.eta,
-            "balance_residual": report.balance_residual,
-        },
+        "power": vars(report),
     }
     _emit(_json(payload), args.out)
     return 0
@@ -101,26 +95,12 @@ def _cmd_thevenin(args) -> int:
 def _cmd_match(args) -> int:
     spec = load_config(args.config)
     matched = matched_load(spec)
-    payload = {
-        "delta_omega": matched.delta_omega,
-        "gamma_load": matched.gamma_load,
-        "p_max": matched.p_max,
-        "feasible": True,
-    }
+    payload = {**vars(matched), "feasible": True}
     if args.grid_check:
         gc = grid_check(spec)
-        payload["grid_check"] = {
-            "argmax_delta_omega": gc.argmax_delta_omega,
-            "argmax_gamma_load": gc.argmax_gamma_load,
-            "cell_delta": gc.cell_delta,
-            "cell_gamma": gc.cell_gamma,
-            "p_grid_max": gc.p_grid_max,
-            "within_one_cell": gc.within_one_cell,
-            "refined_delta_omega": gc.refined_delta_omega,
-            "refined_gamma_load": gc.refined_gamma_load,
-            "p_refined": gc.p_refined,
-            "p_refined_rel_error": abs(gc.p_refined - matched.p_max) / matched.p_max,
-        }
+        fields = {k: v for k, v in vars(gc).items() if k != "predicted"}
+        rel_error = abs(gc.p_refined - matched.p_max) / matched.p_max
+        payload["grid_check"] = {**fields, "p_refined_rel_error": rel_error}
     _emit(_json(payload), args.out)
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import json
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,7 +272,7 @@ def _get(mapping, key, kind, where):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(
-            f"field '{key}' in {where} must be {kind.__name__}, got {value!r}"
+            f"field '{key}' in {where} must be {kind.__name__}, got {reprlib.repr(value)}"
         ) from None
 
 

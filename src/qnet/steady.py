@@ -111,6 +111,18 @@ class _Factorization:
         return zgetrs(self.lu, self.piv, rhs)[0]
 
 
+def _residual_bound(rhs_norm) -> float:
+    """Bound of the residual contract that every solve route meets: each
+    residual norm |A a - rhs| must satisfy `residual <= bound`, a test
+    written that way round so that a NaN residual fails. Raises
+    SingularNetwork when the bound RESIDUAL_RTOL * |rhs| overflows, where
+    no residual could fail it."""
+    bound = RESIDUAL_RTOL * rhs_norm
+    if not bound < math.inf:
+        raise SingularNetwork(f"residual bound {RESIDUAL_RTOL:.0e} * |rhs| overflows")
+    return bound
+
+
 def drive_vector(spec: NetworkSpec) -> np.ndarray:
     """One-hot complex drive vector."""
     omega = np.zeros(spec.n_nodes, dtype=complex)
@@ -134,14 +146,13 @@ def solve_amplitudes(spec: NetworkSpec) -> SteadyState:
     amps = factors.solve(rhs)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = RESIDUAL_RTOL * np.linalg.norm(rhs)
+        bound = _residual_bound(np.linalg.norm(rhs))
         residual = np.linalg.norm(matrix @ amps - rhs)
-        if residual > bound:
+        if not residual <= bound:
             # one step of iterative refinement, then give up
             amps = amps + factors.solve(rhs - matrix @ amps)
             residual = np.linalg.norm(matrix @ amps - rhs)
-    # written this way round so that an overflowing residual or bound fails too
-    if not residual <= bound < math.inf:
+    if not residual <= bound:
         raise SingularNetwork(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|")
     return SteadyState(amplitudes=amps)
 
@@ -192,8 +203,8 @@ def spectral_density_sweep(spec, omega_min, omega_max, n_points) -> np.ndarray:
     Returns an (n_points, 2) array of (omega, S) rows. Grid points where
     the resolvent is exactly singular come back as (omega, nan) gap rows.
     """
-    if not omega_min < omega_max:
-        raise ValidationError(f"need omega_min < omega_max, got [{omega_min}, {omega_max}]")
+    if not (math.isfinite(omega_min) and math.isfinite(omega_max) and omega_min < omega_max):
+        raise ValidationError(f"need finite omega_min < omega_max, got [{omega_min}, {omega_max}]")
     if n_points < 2:
         raise ValidationError(f"need n_points >= 2, got {n_points}")
     grid = np.linspace(omega_min, omega_max, int(n_points))
@@ -251,13 +262,16 @@ def time_domain_steady_state(spec, t_final=None, dt=None) -> SteadyState:
     linear solve is made.
 
     Raises ConvergenceFailure, carrying the residual at the last step
-    reached, when the residual target is not met by t_final, and
-    ValidationError for a network with a non-decaying mode.
+    reached, when the residual target is not met by t_final,
+    SingularNetwork when that target overflows, and ValidationError for a
+    network with a non-decaying mode or a budget that is not a finite
+    positive number of at most 2e8 steps.
     """
     matrix = effective_matrix(spec)
     omega = drive_vector(spec)
     forcing = -1j * omega
-    tol = RESIDUAL_RTOL * float(np.linalg.norm(omega))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol = _residual_bound(np.linalg.norm(omega))
 
     if dt is None or t_final is None:
         eigs = np.linalg.eigvals(matrix)
@@ -271,16 +285,14 @@ def time_domain_steady_state(spec, t_final=None, dt=None) -> SteadyState:
                     "the relaxation oracle requires a decaying system"
                 )
             t_final = 60.0 / abs(alpha)
-    if dt <= 0 or t_final <= 0:
-        raise ValidationError(f"dt and t_final must be positive, got {dt}, {t_final}")
-    max_steps = int(math.ceil(t_final / dt))
-    if max_steps > 200_000_000:
+    # written this way round so that nan and inf fail too
+    if not (0 < dt < math.inf and 0 < t_final and t_final / dt <= 200_000_000):
         raise ValidationError(
-            f"integration budget of {max_steps} steps is unreasonable; "
-            "check decay rates or pass explicit t_final/dt"
+            f"need dt > 0, t_final > 0 and t_final / dt <= 2e8 steps, got dt={dt!r}, "
+            f"t_final={t_final!r}; check decay rates or pass explicit t_final/dt"
         )
 
-    amps, _steps, residual = _rk4_fixed_point(matrix, forcing, float(dt), max_steps, tol)
-    if residual > tol:
+    amps, _, residual = _rk4_fixed_point(matrix, forcing, float(dt), math.ceil(t_final / dt), tol)
+    if not residual <= tol:
         raise ConvergenceFailure(residual)
     return SteadyState(amplitudes=amps)

@@ -21,14 +21,8 @@ import numpy as np
 
 from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
 from .network import LoadSpec, NetworkSpec
-from .power import load_power
 from .steady import (
-    RESIDUAL_RTOL,
-    _Factorization,
-    _load_term,
-    drive_vector,
-    effective_matrix,
-    solve_amplitudes,
+    RESIDUAL_RTOL, _Factorization, _load_term, _residual_bound, drive_vector, effective_matrix,
 )
 
 __all__ = [
@@ -186,6 +180,21 @@ def matched_load(spec: NetworkSpec) -> MatchedLoad:
     )
 
 
+def _load_grid(delta_values, gamma_values):
+    """Load-parameter grids as float arrays, checked in validate's words:
+    every value finite and every decay >= 0."""
+    delta_values = np.asarray(delta_values, dtype=float)
+    gamma_values = np.asarray(gamma_values, dtype=float)
+    for name, values in (("delta_omega", delta_values), ("gamma_load", gamma_values)):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValidationError(f"load {name} must be finite, got {float(bad[0])!r}")
+    bad = gamma_values[gamma_values < 0]
+    if bad.size:
+        raise ValidationError(f"load decay must be >= 0: {float(bad[0])!r}")
+    return delta_values, gamma_values
+
+
 def load_sweep(spec, gamma_values) -> np.ndarray:
     """Delivered power and efficiency over a grid of load decay rates.
 
@@ -205,14 +214,7 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
     is nan where no power flows. Per-point solve_amplitudes and
     power_report are the independent check of this route.
     """
-    gamma_values = np.asarray(gamma_values, dtype=float)
-    bad = gamma_values[~np.isfinite(gamma_values)]
-    if bad.size:
-        raise ValidationError(f"load gamma_load must be finite, got {float(bad[0])!r}")
-    bad = gamma_values[gamma_values < 0]
-    if bad.size:
-        raise ValidationError(f"load decay must be >= 0: {float(bad[0])!r}")
-
+    _, gamma_values = _load_grid((), gamma_values)
     matrix, x, y = _resolvent_pair(spec)
     load = spec.load.node
     h_l = _load_term(spec.load.delta_omega, gamma_values)
@@ -224,7 +226,7 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
         residual_rows = amps @ matrix.T - rhs
         residual_rows[:, load] += h_l * amp_load
         residual = np.linalg.norm(residual_rows, axis=1).max(initial=0.0)
-        if not residual <= RESIDUAL_RTOL * np.linalg.norm(rhs):
+        if not residual <= _residual_bound(np.linalg.norm(rhs)):
             raise SingularNetwork(
                 f"load sweep residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|"
             )
@@ -248,41 +250,43 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     Every grid point is an independent dense solve of the complete
     steady-state system (batched for speed); nothing here relies on the
     single-node reduction, which is what makes this an oracle for it.
-    Returns a (len(delta_values), len(gamma_values)) array.
+    Returns a (len(delta_values), len(gamma_values)) array. Load values
+    are checked as load_sweep checks them; a grid point that misses the
+    residual contract or whose power overflows raises SingularNetwork.
     """
-    delta_values = np.asarray(delta_values, dtype=float)
-    gamma_values = np.asarray(gamma_values, dtype=float)
+    delta_values, gamma_values = _load_grid(delta_values, gamma_values)
     base = effective_matrix(spec, loaded=False)
     rhs = 1j * drive_vector(spec)
     load = spec.load.node
 
     h_l = _load_term(delta_values[:, None], gamma_values[None, :]).ravel()
     amp_load = np.empty(h_l.size, dtype=complex)
-    scale = np.linalg.norm(rhs)
     # One stack of full matrices for every chunk; only the [L, L] entries
     # differ between grid points, so only they are rewritten per chunk.
     stack = np.empty((min(GRID_CHUNK, h_l.size),) + base.shape, dtype=complex)
     stack[...] = base
     # trailing singleton keeps batched solve in matrix mode on numpy 2.x
     rhs_stack = np.broadcast_to(rhs[:, None], (stack.shape[0], rhs.size, 1))
-    for start in range(0, h_l.size, GRID_CHUNK):
-        part = h_l[start : start + GRID_CHUNK]
-        mats = stack[: part.size]
-        mats[:, load, load] = base[load, load] + part
-        try:
-            sols = np.linalg.solve(mats, rhs_stack[: part.size])
-        except np.linalg.LinAlgError as exc:
-            raise SingularNetwork(str(exc)) from None
-        residuals = np.linalg.norm((mats @ sols)[..., 0] - rhs, axis=1)
-        if residuals.max() > RESIDUAL_RTOL * scale:
-            raise SingularNetwork(
-                f"grid solve residual {residuals.max():.3e} exceeds contract"
-            )
-        amp_load[start : start + GRID_CHUNK] = sols[:, load, 0]
+    with np.errstate(all="ignore"):
+        bound = _residual_bound(np.linalg.norm(rhs))
+        for start in range(0, h_l.size, GRID_CHUNK):
+            part = h_l[start : start + GRID_CHUNK]
+            mats = stack[: part.size]
+            mats[:, load, load] = base[load, load] + part
+            try:
+                sols = np.linalg.solve(mats, rhs_stack[: part.size])
+            except np.linalg.LinAlgError as exc:
+                raise SingularNetwork(str(exc)) from None
+            residual = np.linalg.norm((mats @ sols)[..., 0] - rhs, axis=1).max()
+            if not residual <= bound:
+                raise SingularNetwork(f"grid solve residual {residual:.3e} exceeds contract")
+            amp_load[start : start + GRID_CHUNK] = sols[:, load, 0]
 
-    power = spec.drive.omega_d * gamma_values[None, :] * np.abs(
-        amp_load.reshape(delta_values.size, gamma_values.size)
-    ) ** 2
+        power = spec.drive.omega_d * gamma_values[None, :] * np.abs(
+            amp_load.reshape(delta_values.size, gamma_values.size)
+        ) ** 2
+    if not np.isfinite(power).all():
+        raise SingularNetwork("grid load power overflows")
     return power
 
 
@@ -302,15 +306,12 @@ class GridCheck:
     p_refined: float
 
 
-def _solve_load_power(spec, delta_omega, gamma_load) -> float:
-    probe = spec.with_load(delta_omega=delta_omega, gamma_load=gamma_load)
-    return load_power(probe, solve_amplitudes(probe))
-
-
 def _refine_axis(evaluate, lo, hi):
     """Shrink [lo, hi] around the maximum of a unimodal 1-D section by
     ternary search (discard the losing third each step) until it is
-    1e-9 of its first width, or for at most 120 steps."""
+    1e-9 of its first width, or for at most 120 steps. `evaluate` maps an
+    array of positions to the powers there, so both interior points of a
+    step cost one batched call."""
     span0 = hi - lo
     for _ in range(120):
         if hi - lo <= 1e-9 * span0:
@@ -318,12 +319,13 @@ def _refine_axis(evaluate, lo, hi):
         third = (hi - lo) / 3.0
         m1 = lo + third
         m2 = hi - third
-        if evaluate(m1) < evaluate(m2):
+        p1, p2 = evaluate([m1, m2])
+        if p1 < p2:
             lo = m1
         else:
             hi = m2
     mid = 0.5 * (lo + hi)
-    return mid, evaluate(mid)
+    return mid, evaluate([mid])[0]
 
 
 def grid_check(spec, n_points=200) -> GridCheck:
@@ -333,8 +335,11 @@ def grid_check(spec, n_points=200) -> GridCheck:
     prediction, delta_omega within +-0.1 * gamma_th and gamma_load within
     (1 +- 0.2) * gamma_th, locates the argmax of the full-solve delivered
     power, then refines along each axis to pin the optimum far below grid
-    resolution.
+    resolution. Every brute-force number, refinement included, comes from
+    load_power_map's full solves, none from solve_amplitudes.
     """
+    if not n_points >= 2:
+        raise ValidationError(f"need n_points >= 2, got {n_points}")
     predicted = matched_load(spec)
     g_th = predicted.gamma_load
     deltas = np.linspace(
@@ -351,12 +356,12 @@ def grid_check(spec, n_points=200) -> GridCheck:
     )
 
     refined_delta, _ = _refine_axis(
-        lambda d: _solve_load_power(spec, d, gammas[j]),
+        lambda d: load_power_map(spec, d, gammas[j : j + 1])[:, 0],
         deltas[max(i - 1, 0)],
         deltas[min(i + 1, n_points - 1)],
     )
     refined_gamma, p_refined = _refine_axis(
-        lambda g: _solve_load_power(spec, refined_delta, g),
+        lambda g: load_power_map(spec, [refined_delta], g)[0],
         gammas[max(j - 1, 0)],
         gammas[min(j + 1, n_points - 1)],
     )

@@ -8,6 +8,7 @@ N = 2, 5, 10, 50) with complex drives and generic load attachments.
 import time
 
 import numpy as np
+import pytest
 
 import qnet
 from qnet.cli import main as cli_main
@@ -50,6 +51,7 @@ def test_criterion_2_power_balance(corpus):
     _report(2, worst <= 1e-8, f"worst balance residual {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_3_matching_optimality(corpus):
     """200x200 full-solve grid search centered on the prediction: argmax
     within one cell, grid max within 1e-6 of the closed form, axis-refined

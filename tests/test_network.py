@@ -238,8 +238,9 @@ class TestConfigIO:
         }
         target = data[section][0] if section in ("nodes", "edges") else data[section]
         target[key] = 10**400
-        with pytest.raises(ValidationError, match=f"'{key}'.*must be float"):
+        with pytest.raises(ValidationError, match=f"'{key}'.*must be float") as err:
             qnet.from_config_dict(data)
+        assert len(str(err.value)) < 100  # the 401-digit literal is not echoed in full
 
     def test_integer_past_the_digit_limit_rejected(self, tmp_path):
         path = tmp_path / "huge.json"

@@ -87,6 +87,11 @@ class TestSolveAmplitudes:
             residual = np.linalg.norm(m @ state.amplitudes - rhs)
             assert residual <= 1e-10 * np.linalg.norm(rhs)
 
+    def test_overflowing_residual_bound_is_singular(self):
+        # |rhs|^2 overflows, so no residual could miss a bound of 1e-10 * |rhs|
+        with pytest.raises(SingularNetwork, match="residual bound .* overflows"):
+            qnet.solve_amplitudes(_two_node(omega_d=1001.0, rabi=1e300))
+
     def test_lossless_dark_mode_is_singular(self):
         # drive frequency exactly on a lossless eigenmode
         spec = _two_node(omega_d=1002.5, gamma=(0.0, 0.0), j=2.5)
@@ -233,6 +238,13 @@ class TestSpectralDensity:
         assert table.shape == (2, 2)
         assert table[0, 0] == 999.0 and table[1, 0] == 1001.0
 
+    @pytest.mark.parametrize(
+        "lo,hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan)]
+    )
+    def test_sweep_non_finite_bounds(self, lo, hi):
+        with pytest.raises(ValidationError, match="need finite omega_min < omega_max"):
+            qnet.spectral_density_sweep(_one_node(omega_d=1000.0), lo, hi, 3)
+
     def test_sweep_bad_ranges(self):
         spec = _one_node(omega_d=1000.0)
         with pytest.raises(ValidationError):
@@ -278,3 +290,17 @@ class TestTimeDomainOracle:
         spec = _two_node(omega_d=1001.0, gamma=(0.0, 0.0))
         with pytest.raises(ValidationError):
             qnet.time_domain_steady_state(spec)
+
+    def test_overflowing_drive_is_singular(self):
+        spec = _two_node(omega_d=1001.0, rabi=1e200)
+        with pytest.raises(SingularNetwork, match="residual bound .* overflows"):
+            qnet.time_domain_steady_state(spec)
+
+    @pytest.mark.parametrize(
+        "budget", [dict(t_final=np.nan), dict(dt=np.nan), dict(t_final=np.inf), dict(dt=np.inf),
+                   dict(t_final=0.0), dict(dt=-1.0), dict(t_final=1e6, dt=1e-6)]
+    )
+    def test_budget_must_be_finite_positive_and_bounded(self, budget):
+        spec = _two_node(omega_d=1001.0)
+        with pytest.raises(ValidationError, match="t_final / dt <= 2e8 steps"):
+            qnet.time_domain_steady_state(spec, **budget)

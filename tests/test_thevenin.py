@@ -1,10 +1,12 @@
 """Single-node reduction: resolvent route, elimination route, load
 amplitude equivalence, matching, and the brute-force grid oracle."""
+import warnings
+
 import numpy as np
 import pytest
 
 import qnet
-from qnet.errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch
+from qnet.errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
 
 from conftest import load_settings, make_random_network, two_node_resonant
 
@@ -269,3 +271,42 @@ class TestGridOracle:
                 probe = spec.with_load(delta_omega=float(d), gamma_load=float(g))
                 state = qnet.solve_amplitudes(probe)
                 assert power[i, j] == pytest.approx(qnet.load_power(probe, state), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "delta,gamma,message",
+        [
+            (np.nan, 1.0, "load delta_omega must be finite, got nan"),
+            (np.inf, 1.0, "load delta_omega must be finite, got inf"),
+            (-np.inf, 1.0, "load delta_omega must be finite, got -inf"),
+            (0.0, np.nan, "load gamma_load must be finite, got nan"),
+            (0.0, np.inf, "load gamma_load must be finite, got inf"),
+            (0.0, -np.inf, "load gamma_load must be finite, got -inf"),
+            (0.0, -1.0, "load decay must be >= 0: -1.0"),
+        ],
+    )
+    def test_map_rejects_load_values_outside_the_domain(self, delta, gamma, message):
+        spec = make_random_network(2, 17)
+        with pytest.raises(ValidationError, match=message):
+            qnet.load_power_map(spec, [0.5, delta], [1.0, gamma])
+
+    def test_map_overflowing_decay_is_singular_without_warnings(self):
+        spec = make_random_network(2, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularNetwork, match="overflows"):
+                qnet.load_power_map(spec, [0.0], [1e308])
+
+    def test_grid_check_never_calls_the_fast_solver(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("grid_check called the fast path's solver")
+
+        monkeypatch.setattr(qnet.thevenin, "solve_amplitudes", boom, raising=False)
+        monkeypatch.setattr(qnet.steady, "solve_amplitudes", boom)
+        check = qnet.grid_check(make_random_network(5, 11))
+        assert check.within_one_cell
+        assert abs(check.p_refined - check.predicted.p_max) <= 1e-10 * check.predicted.p_max
+
+    @pytest.mark.parametrize("n_points", [0, 1, np.nan])
+    def test_grid_check_needs_two_points_per_axis(self, n_points):
+        with pytest.raises(ValidationError, match="need n_points >= 2"):
+            qnet.grid_check(make_random_network(2, 17), n_points=n_points)
