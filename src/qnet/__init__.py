@@ -11,7 +11,6 @@ from .errors import (
     PivotBreakdown,
     QnetError,
     SingularNetwork,
-    UndefinedEfficiency,
     UnphysicalMatch,
     UnsupportedTopology,
     ValidationError,
@@ -20,9 +19,8 @@ from .lindblad import (
     DensityState,
     FockConfig,
     build_liouvillian,
-    expectation_amplitude,
-    expectation_correlator,
     factorization_residual,
+    moments,
     oracle_report,
     steady_state_density,
 )
@@ -41,7 +39,6 @@ from .network import (
 )
 from .power import (
     PowerReport,
-    efficiency,
     general_power_from_correlators,
     input_power,
     load_power,
@@ -55,7 +52,6 @@ from .steady import (
     solve_amplitudes,
     spectral_density,
     spectral_density_grid,
-    spectral_density_sweep,
     time_domain_steady_state,
 )
 from .thevenin import (

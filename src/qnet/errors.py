@@ -58,7 +58,3 @@ class NonUniqueSteadyState(QnetError):
 
 class UnsupportedTopology(QnetError):
     """Operation is only defined for a restricted network layout."""
-
-
-class UndefinedEfficiency(QnetError):
-    """Efficiency requested for a state with no power flow at all."""

@@ -31,8 +31,7 @@ __all__ = [
     "DensityState",
     "build_liouvillian",
     "steady_state_density",
-    "expectation_amplitude",
-    "expectation_correlator",
+    "moments",
     "factorization_residual",
     "oracle_report",
 ]
@@ -185,22 +184,11 @@ def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
     return DensityState(rho=rho, config=cfg)
 
 
-def expectation_amplitude(state: DensityState, node: int) -> complex:
-    """tr(a_node rho)."""
-    ops = _annihilators(state.config)
-    return complex((ops[node] @ state.rho).diagonal().sum())
-
-
-def expectation_correlator(state: DensityState, n: int, m: int) -> complex:
-    """tr(adag_n a_m rho)."""
-    ops = _annihilators(state.config)
-    op = ops[n].conj().T @ ops[m]
-    return complex((op @ state.rho).diagonal().sum())
-
-
-def _moments(state: DensityState):
-    """All first moments <a_k> and second moments <adag_n a_m>, from one
-    set of annihilation operators. Returns (amps, corr)."""
+def moments(state: DensityState):
+    """All first moments <a_k> = tr(a_k rho) and second moments
+    <adag_n a_m> = tr(adag_n a_m rho) of a density state, from one set of
+    annihilation operators. Returns (amps, corr): a length-N complex array
+    and an N x N complex array indexed [n, m]."""
     ops = _annihilators(state.config)
     amps = np.array([(a @ state.rho).diagonal().sum() for a in ops])
     corr = np.array(
@@ -225,7 +213,7 @@ def factorization_residual(state: DensityState) -> float:
     Exactly zero for a purely coherent steady state; in a truncated space
     it shrinks toward zero as the cutoff grows.
     """
-    return _worst_factorization_defect(*_moments(state))
+    return _worst_factorization_defect(*moments(state))
 
 
 def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
@@ -240,7 +228,7 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
     state = steady_state_density(build_liouvillian(spec, cfg), cfg)
     linear = solve_amplitudes(spec)
 
-    amps, corr = _moments(state)
+    amps, corr = moments(state)
     amp_scale = np.linalg.norm(linear.amplitudes)
     amp_rel = float(np.linalg.norm(amps - linear.amplitudes) / amp_scale) if amp_scale else 0.0
 

@@ -22,7 +22,6 @@ __all__ = [
     "NetworkSpec",
     "Violation",
     "validate",
-    "require_valid",
     "build_chain",
     "build_random_all_to_all",
     "from_config_dict",
@@ -289,7 +288,7 @@ def from_config_dict(data: dict) -> NetworkSpec:
 
     edges = data.get("edges", [])
     if not isinstance(edges, list):
-        raise ValidationError(f"'edges' must be a list, got {edges!r}")
+        raise ValidationError(f"'edges' must be a list, got {reprlib.repr(edges)}")
     couplings = np.zeros((n, n))
     seen = set()
     for k, edge in enumerate(edges):

@@ -1,5 +1,5 @@
-"""Input, radiated and delivered power, efficiency, and the closed-form
-two-node efficiency.
+"""Input, radiated and delivered power, the power report that carries the
+efficiency eta, and the closed-form two-node efficiency.
 
 In steady state the drive feeds exactly what the losses and the load
 dissipate: p_in = p_r + p_l. The input power is evaluated in the rotating
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMoments, SingularNetwork, UndefinedEfficiency, UnsupportedTopology
+from .errors import InvalidMoments, SingularNetwork, UnsupportedTopology
 from .network import NetworkSpec
 from .steady import SteadyState, effective_matrix, _frequency_matrix
 
@@ -23,7 +23,6 @@ __all__ = [
     "radiated_power",
     "load_power",
     "general_power_from_correlators",
-    "efficiency",
     "matched_efficiency_two_node",
     "power_report",
 ]
@@ -108,14 +107,6 @@ def general_power_from_correlators(spec, first_moments, second_moments):
             f"power has a nonreal part ({p_r.imag:.3e}, {p_l.imag:.3e}) beyond tolerance"
         )
     return float(p_r.real), float(p_l.real)
-
-
-def efficiency(p_l: float, p_r: float) -> float:
-    """Fraction of the output power that reaches the load."""
-    total = p_l + p_r
-    if total == 0:
-        raise UndefinedEfficiency("no power flows; efficiency is undefined")
-    return float(p_l / total)
 
 
 def matched_efficiency_two_node(spec: NetworkSpec) -> float:

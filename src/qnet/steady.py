@@ -24,11 +24,9 @@ from .network import NetworkSpec, require_valid
 __all__ = [
     "SteadyState",
     "effective_matrix",
-    "drive_vector",
     "solve_amplitudes",
     "spectral_density",
     "spectral_density_grid",
-    "spectral_density_sweep",
     "time_domain_steady_state",
 ]
 
@@ -195,20 +193,6 @@ def spectral_density_grid(spec, grid) -> np.ndarray:
             values -= np.imag(1.0 / (grid - lam))
     values[~np.isfinite(values)] = np.nan
     return values
-
-
-def spectral_density_sweep(spec, omega_min, omega_max, n_points) -> np.ndarray:
-    """Evaluate the spectral density on a uniform inclusive grid.
-
-    Returns an (n_points, 2) array of (omega, S) rows. Grid points where
-    the resolvent is exactly singular come back as (omega, nan) gap rows.
-    """
-    if not (math.isfinite(omega_min) and math.isfinite(omega_max) and omega_min < omega_max):
-        raise ValidationError(f"need finite omega_min < omega_max, got [{omega_min}, {omega_max}]")
-    if n_points < 2:
-        raise ValidationError(f"need n_points >= 2, got {n_points}")
-    grid = np.linspace(omega_min, omega_max, int(n_points))
-    return np.column_stack([grid, spectral_density_grid(spec, grid)])
 
 
 def _rk4_fixed_point(a, forcing, dt, max_steps, tol):

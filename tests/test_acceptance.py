@@ -120,7 +120,7 @@ def test_criterion_5_two_node_efficiency_formula():
             ),
         )
         state = qnet.solve_amplitudes(spec)
-        direct = qnet.efficiency(qnet.load_power(spec, state), qnet.radiated_power(spec, state))
+        direct = qnet.power_report(spec, state).eta
         formula = qnet.matched_efficiency_two_node(spec)
         worst = max(worst, abs(formula - direct) / direct)
     _report(5, worst <= 1e-10, f"1000 parameter sets, worst rel dev {worst:.2e}")
@@ -138,8 +138,8 @@ def test_criterion_6_spectral_density_two_peaks():
         load=qnet.LoadSpec(node=1, gamma_load=0.0),
     )
     n_points = 2001
-    table = qnet.spectral_density_sweep(spec, omega_0 - 3 * j, omega_0 + 3 * j, n_points)
-    omegas, values = table[:, 0], table[:, 1]
+    omegas = np.linspace(omega_0 - 3 * j, omega_0 + 3 * j, n_points)
+    values = qnet.spectral_density_grid(spec, omegas)
     inner = np.arange(1, n_points - 1)
     peaks = inner[(values[inner] > values[inner - 1]) & (values[inner] > values[inner + 1])]
     step = omegas[1] - omegas[0]

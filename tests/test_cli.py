@@ -288,6 +288,18 @@ class TestSweep:
         ratios = [b / a for a, b in zip(values, values[1:])]
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
 
+    def test_undriven_gamma_load_rows_carry_nan_eta(self, capsys, tmp_path):
+        # no power flows, so eta is undefined and the CSV field reads nan
+        path = bundled_with(tmp_path, "drive", "rabi_re", 0.0)
+        code, out, _ = run(
+            capsys, "sweep", "--config", path, "--var", "gamma_load",
+            "--min", "0.1", "--max", "100", "--points", "4", "--log",
+        )
+        assert code == 0
+        rows = out.strip().splitlines()[2:]
+        assert len(rows) == 4
+        assert all(row.split(",")[2] == "nan" for row in rows)
+
     def test_request_invariants(self, tmp_path):
         path = two_node_config(tmp_path)
         with pytest.raises(qnet.ValidationError):

@@ -106,14 +106,14 @@ class TestSteadyStateDensity:
         spec = _one_node(gamma=gamma, rabi=rabi)
         cfg = qnet.FockConfig(n_max=4, nodes=1)
         state = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
-        amp = qnet.expectation_amplitude(state, 0)
+        amp = qnet.moments(state)[0][0]
         assert abs(amp - (-2j * rabi / gamma)) / (2 * rabi / gamma) < 1e-4
 
     def test_two_node_weak_drive_matches_linear_solve(self):
         spec = _two_node()
         cfg = qnet.FockConfig(n_max=5, nodes=2)
         state = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
-        amps = np.array([qnet.expectation_amplitude(state, k) for k in range(2)])
+        amps, _ = qnet.moments(state)
         linear = qnet.solve_amplitudes(spec).amplitudes
         assert np.linalg.norm(amps - linear) / np.linalg.norm(linear) < 1e-4
 
@@ -124,7 +124,7 @@ class TestSteadyStateDensity:
         for n_max in (2, 3, 4, 5):
             cfg = qnet.FockConfig(n_max=n_max, nodes=2)
             state = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
-            amps = np.array([qnet.expectation_amplitude(state, k) for k in range(2)])
+            amps, _ = qnet.moments(state)
             residuals.append(np.linalg.norm(amps - linear) / np.linalg.norm(linear))
         assert all(a > b for a, b in zip(residuals, residuals[1:]))
 
@@ -148,7 +148,7 @@ class TestSteadyStateDensity:
         cfg = qnet.FockConfig(n_max=70, nodes=1)
         assert cfg.dim**2 > 4096
         state = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
-        amp = qnet.expectation_amplitude(state, 0)
+        amp = qnet.moments(state)[0][0]
         assert abs(amp - (-2j * rabi / gamma)) / (2 * rabi / gamma) < 1e-4
 
 
@@ -156,8 +156,9 @@ class TestMoments:
     def test_vacuum_moments(self):
         cfg = qnet.FockConfig(n_max=2, nodes=1)
         state = qnet.steady_state_density(qnet.build_liouvillian(_one_node(), cfg), cfg)
-        assert qnet.expectation_amplitude(state, 0) == pytest.approx(0.0, abs=1e-12)
-        assert qnet.expectation_correlator(state, 0, 0) == pytest.approx(0.0, abs=1e-12)
+        amps, corr = qnet.moments(state)
+        assert amps[0] == pytest.approx(0.0, abs=1e-12)
+        assert corr[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert qnet.factorization_residual(state) == 0.0
 
     def test_occupation_bounds_amplitude(self):
@@ -165,15 +166,10 @@ class TestMoments:
         spec = _two_node()
         cfg = qnet.FockConfig(n_max=4, nodes=2)
         state = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
+        amps, corr = qnet.moments(state)
         for k in range(2):
-            occupation = qnet.expectation_correlator(state, k, k).real
-            assert occupation >= abs(qnet.expectation_amplitude(state, k)) ** 2 - 1e-12
-
-    def test_node_index_out_of_range(self):
-        cfg = qnet.FockConfig(n_max=2, nodes=1)
-        state = qnet.steady_state_density(qnet.build_liouvillian(_one_node(), cfg), cfg)
-        with pytest.raises(IndexError):
-            qnet.expectation_amplitude(state, 3)
+            occupation = corr[k, k].real
+            assert occupation >= abs(amps[k]) ** 2 - 1e-12
 
     def test_factorization_residual_small_and_shrinking(self):
         spec = _two_node()

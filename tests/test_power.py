@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import qnet
-from qnet.errors import InvalidMoments, UndefinedEfficiency, UnsupportedTopology
+from qnet.errors import InvalidMoments, UnsupportedTopology
 
 from conftest import load_settings, make_random_network, two_node_resonant
 
@@ -36,10 +36,9 @@ class TestHandComputedCases:
         probe = spec.with_load(delta_omega=matched.delta_omega, gamma_load=matched.gamma_load)
         state = qnet.solve_amplitudes(probe)
         p_l = qnet.load_power(probe, state)
-        p_r = qnet.radiated_power(probe, state)
         assert p_l == pytest.approx(omega_0 * rabi**2 / g1, rel=1e-12)
         assert p_l == pytest.approx(matched.p_max, rel=1e-12)
-        assert qnet.efficiency(p_l, p_r) == pytest.approx(0.5, abs=1e-12)
+        assert qnet.power_report(probe, state).eta == pytest.approx(0.5, abs=1e-12)
 
 
 class TestZeroCases:
@@ -139,14 +138,6 @@ class TestCorrelatorForm:
 
 
 class TestEfficiency:
-    def test_limits(self):
-        assert qnet.efficiency(1.0, 0.0) == 1.0
-        assert qnet.efficiency(0.0, 2.0) == 0.0
-
-    def test_undefined_for_dead_network(self):
-        with pytest.raises(UndefinedEfficiency):
-            qnet.efficiency(0.0, 0.0)
-
     def test_scale_invariance(self):
         spec = make_random_network(5, 5, gamma=0.9)
         base = qnet.power_report(spec, qnet.solve_amplitudes(spec))
@@ -190,7 +181,7 @@ class TestTwoNodeEfficiencyFormula:
     def test_matches_direct_ratio(self, seed):
         spec = self._random_two_node(seed)
         state = qnet.solve_amplitudes(spec)
-        direct = qnet.efficiency(qnet.load_power(spec, state), qnet.radiated_power(spec, state))
+        direct = qnet.power_report(spec, state).eta
         assert abs(qnet.matched_efficiency_two_node(spec) - direct) < 1e-10 * direct + 1e-14
 
     def test_strong_coupling_limit(self):

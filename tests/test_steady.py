@@ -154,8 +154,8 @@ class TestSpectralDensity:
     def test_two_node_peaks_at_split_frequencies(self):
         j = 2.5
         spec = _two_node(omega_d=1001.0, j=j)
-        table = qnet.spectral_density_sweep(spec, 1000.0 - 3 * j, 1000.0 + 3 * j, 3001)
-        omegas, values = table[:, 0], table[:, 1]
+        omegas = np.linspace(1000.0 - 3 * j, 1000.0 + 3 * j, 3001)
+        values = qnet.spectral_density_grid(spec, omegas)
         inner = np.arange(1, len(values) - 1)
         maxima = inner[(values[inner] > values[inner - 1]) & (values[inner] > values[inner + 1])]
         assert len(maxima) == 2
@@ -176,8 +176,8 @@ class TestSpectralDensity:
         np.fill_diagonal(w, spec.node_frequencies)
         assert np.allclose(np.sort(np.linalg.eigvalsh(w)), np.sort(modes), atol=1e-9)
 
-        table = qnet.spectral_density_sweep(spec, 1000.0 - 4 * j, 1000.0 + 4 * j, 4001)
-        omegas, values = table[:, 0], table[:, 1]
+        omegas = np.linspace(1000.0 - 4 * j, 1000.0 + 4 * j, 4001)
+        values = qnet.spectral_density_grid(spec, omegas)
         inner = np.arange(1, len(values) - 1)
         maxima = omegas[
             inner[(values[inner] > values[inner - 1]) & (values[inner] > values[inner + 1])]
@@ -228,29 +228,15 @@ class TestSpectralDensity:
 
     def test_sweep_gap_rows(self):
         spec = _one_node(omega_d=1000.0, gamma=0.0)
-        table = qnet.spectral_density_sweep(spec, 999.0, 1001.0, 3)
-        assert np.isnan(table[1, 1])
-        assert np.isfinite(table[0, 1]) and np.isfinite(table[2, 1])
+        values = qnet.spectral_density_grid(spec, np.linspace(999.0, 1001.0, 3))
+        assert np.isnan(values[1])
+        assert np.isfinite(values[0]) and np.isfinite(values[2])
 
     def test_sweep_two_points(self):
         spec = _one_node(omega_d=1000.0)
-        table = qnet.spectral_density_sweep(spec, 999.0, 1001.0, 2)
-        assert table.shape == (2, 2)
-        assert table[0, 0] == 999.0 and table[1, 0] == 1001.0
-
-    @pytest.mark.parametrize(
-        "lo,hi", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan)]
-    )
-    def test_sweep_non_finite_bounds(self, lo, hi):
-        with pytest.raises(ValidationError, match="need finite omega_min < omega_max"):
-            qnet.spectral_density_sweep(_one_node(omega_d=1000.0), lo, hi, 3)
-
-    def test_sweep_bad_ranges(self):
-        spec = _one_node(omega_d=1000.0)
-        with pytest.raises(ValidationError):
-            qnet.spectral_density_sweep(spec, 2.0, 1.0, 10)
-        with pytest.raises(ValidationError):
-            qnet.spectral_density_sweep(spec, 1.0, 2.0, 1)
+        values = qnet.spectral_density_grid(spec, np.array([999.0, 1001.0]))
+        assert values.shape == (2,)
+        assert np.isfinite(values).all()
 
 
 class TestTimeDomainOracle:
