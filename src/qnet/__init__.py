@@ -2,6 +2,8 @@
 (Thevenin) equivalents, conjugate-matched loads and delivered power, with
 independent time-domain and density-matrix cross-checks."""
 
+import types
+
 from .errors import (
     CapacityError,
     ConvergenceFailure,
@@ -14,15 +16,6 @@ from .errors import (
     UnphysicalMatch,
     UnsupportedTopology,
     ValidationError,
-)
-from .lindblad import (
-    DensityState,
-    FockConfig,
-    build_liouvillian,
-    factorization_residual,
-    moments,
-    oracle_report,
-    steady_state_density,
 )
 from .network import (
     DriveSpec,
@@ -72,3 +65,38 @@ __version__ = "0.1.0"
 
 # Every route is plain numpy/scipy; callers record this in run metadata.
 BACKEND = "python"
+
+# The density-matrix oracle imports scipy.sparse, which costs more start-up
+# time than the rest of the package; its names load on first access.
+_LINDBLAD_NAMES = (
+    "DensityState",
+    "FockConfig",
+    "build_liouvillian",
+    "factorization_residual",
+    "moments",
+    "oracle_report",
+    "steady_state_density",
+)
+
+# Bound by `from qnet import *`: every public name above except submodules,
+# and the deferred names, which such an import loads.
+__all__ = [
+    *(
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ),
+    *_LINDBLAD_NAMES,
+]
+
+
+def __getattr__(name):
+    if name in _LINDBLAD_NAMES:
+        from . import lindblad
+
+        return getattr(lindblad, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LINDBLAD_NAMES})

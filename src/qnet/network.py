@@ -231,6 +231,8 @@ def build_random_all_to_all(
         raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
     if j_std < 0:
         raise ValidationError(f"j_std must be >= 0, got {j_std}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     couplings = np.zeros((n_nodes, n_nodes))
     iu = np.triu_indices(n_nodes, k=1)
@@ -367,6 +369,8 @@ def load_config(path) -> NetworkSpec:
             raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
         except ValueError as exc:  # bytes not in UTF-8, or an int past the digit limit
             raise ValidationError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ValidationError(f"{path}: JSON nested too deeply") from None
     return from_config_dict(data)
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from .errors import ConvergenceFailure, SingularNetwork, ValidationError
 from .network import NetworkSpec, require_valid
@@ -95,6 +94,10 @@ class _Factorization:
     """
 
     def __init__(self, matrix: np.ndarray):
+        # deferred so that commands that factor no matrix start without scipy
+        from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
+
+        self._zgetrs = zgetrs
         self.lu, self.piv, info = zgetrf(matrix)
         if info > 0:
             raise SingularNetwork(f"matrix is exactly singular (zero pivot in column {info})")
@@ -106,7 +109,7 @@ class _Factorization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution of matrix @ x = rhs for a vector or a column stack."""
-        return zgetrs(self.lu, self.piv, rhs)[0]
+        return self._zgetrs(self.lu, self.piv, rhs)[0]
 
 
 def _residual_bound(rhs_norm) -> float:

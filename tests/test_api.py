@@ -1,4 +1,6 @@
 """The package namespace: every module's public names, and only those."""
+import pytest
+
 import qnet
 from qnet import lindblad, network, power, steady, thevenin
 
@@ -15,3 +17,20 @@ def test_module_all_lists_match_package():
         "UndefinedEfficiency",
     )
     assert [name for name in deleted if hasattr(qnet, name)] == []
+
+
+def test_deferred_oracle_names_resolve_to_lindblad():
+    assert qnet.oracle_report is lindblad.oracle_report
+    assert [name for name in lindblad.__all__ if name not in dir(qnet)] == []
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from qnet import *", namespace)
+    for module in (network, steady, thevenin, power, lindblad):
+        assert [name for name in module.__all__ if namespace.get(name) is not getattr(module, name)] == []
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(qnet, "no_such_name")

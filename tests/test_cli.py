@@ -82,6 +82,13 @@ class TestSolve:
         assert code == 2
         assert "line" in err
 
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        code, _, err = run(capsys, "solve", "--config", str(deep))
+        assert code == 2
+        assert err == f"qnet: input error: {deep}: JSON nested too deeply\n"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", "--config", str(tmp_path / "absent.json"))
         assert code == 2
@@ -391,6 +398,15 @@ class TestGen:
             capsys, "gen", "chain", "--nodes", "0", "--out", str(tmp_path / "x.json")
         )
         assert code == 2
+
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "gen", "random", "--nodes", "3", "--seed", "-1", "--out", str(out_path)
+        )
+        assert code == 2
+        assert err == "qnet: input error: seed must be >= 0, got -1\n"
+        assert not out_path.exists()
 
 
 class TestOracle:

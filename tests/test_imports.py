@@ -1,0 +1,92 @@
+"""Import boundaries: each command loads only the libraries it runs.
+
+scipy costs more start-up time than numpy and all of qnet together, so only
+the routes that factor a matrix (scipy.linalg) or build a Liouvillian
+(scipy.sparse) import it. Every check runs in a fresh interpreter, because
+this test process imported scipy long ago.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TWO_NODE = str(ROOT / "configs" / "two_node.json")
+
+
+def fresh_run(statements):
+    """Run `statements` in a new interpreter with src/ on the path; return
+    the value they leave in `code` (None if they set none) and the names in
+    sys.modules afterwards."""
+    probe = (
+        "code = None\n" + statements
+        + "\nimport json, sys\nprint(json.dumps({'code': code, 'modules': sorted(sys.modules)}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    return result["code"], set(result["modules"])
+
+
+def cli_run(*argv):
+    return fresh_run(f"import qnet.cli\ncode = qnet.cli.main({list(argv)!r})")
+
+
+def scipy_modules(modules):
+    return sorted(name for name in modules if name == "scipy" or name.startswith("scipy."))
+
+
+def test_import_cli_loads_no_scipy():
+    _, modules = fresh_run("import qnet.cli")
+    assert "qnet.lindblad" not in modules
+    assert scipy_modules(modules) == []
+
+
+def nan_config(tmp_path):
+    data = json.loads(Path(TWO_NODE).read_text())
+    data["load"]["gamma_load"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("gen", "random", "--nodes", "3", "--seed", "1", "--out", "{tmp}/net.json"), 0),
+        (("sweep", "--config", TWO_NODE, "--var", "omega", "--min", "990", "--max", "1010",
+          "--points", "5", "--out", "{tmp}/omega.csv"), 0),
+        (("solve", "--config", "{nan}", "--out", "{tmp}/nan.out"), 2),
+    ],
+    ids=["gen-random", "sweep-omega", "nan-config"],
+)
+def test_commands_without_a_factorization_load_no_scipy(tmp_path, argv, expected):
+    argv = [arg.format(tmp=tmp_path, nan=nan_config(tmp_path)) for arg in argv]
+    code, modules = cli_run(*argv)
+    assert code == expected
+    assert scipy_modules(modules) == []
+
+
+def test_solve_loads_dense_lapack_only(tmp_path):
+    code, modules = cli_run("solve", "--config", TWO_NODE, "--out", str(tmp_path / "solve.json"))
+    assert code == 0
+    assert "scipy.linalg" in modules
+    assert "scipy.sparse" not in modules
+    assert "qnet.lindblad" not in modules
+
+
+def test_oracle_loads_the_sparse_route_and_reports(tmp_path):
+    out = tmp_path / "oracle.json"
+    code, modules = cli_run("oracle", "--config", TWO_NODE, "--n-max", "3", "--out", str(out))
+    assert code == 0
+    assert {"qnet.lindblad", "scipy.sparse"} <= modules
+    assert json.loads(out.read_text())["dim"] == 16
