@@ -27,13 +27,16 @@ __all__ = [
     "power_report",
 ]
 
-# Guards the balance-residual denominator for undriven networks.
+# Floor of the scale against which a nonreal power part is judged.
 _EPS = 1e-300
 
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Steady-state power bookkeeping. eta is None when nothing flows."""
+    """Steady-state power bookkeeping. eta is None when nothing flows.
+    balance_residual is |p_in - p_r - p_l| relative to the size of the
+    terms, 2 * omega_d * |rabi| * |a_drive| + p_r + p_l, and 0.0 when they
+    all vanish."""
 
     p_in: float
     p_r: float
@@ -142,8 +145,13 @@ def power_report(spec: NetworkSpec, state: SteadyState) -> PowerReport:
         p_in = input_power(spec, state)
         p_r = radiated_power(spec, state)
         p_l = load_power(spec, state)
+        # The balance residual is taken relative to the size of the terms,
+        # not to p_in: a drive that does no net work leaves p_in as a
+        # rounding-level remainder of either sign.
+        drive_size = np.abs(spec.drive.rabi) * np.abs(state.amplitudes[spec.drive.node])
+        scale = 2.0 * spec.drive.omega_d * drive_size + p_r + p_l
     if not math.isfinite(abs(p_in) + p_r + p_l):
         raise SingularNetwork(f"power overflows: p_in={p_in!r}, p_r={p_r!r}, p_l={p_l!r}")
     eta = None if p_l + p_r == 0 else float(p_l / (p_l + p_r))
-    residual = abs(p_in - p_r - p_l) / max(p_in, _EPS)
+    residual = 0.0 if scale == 0 else float(abs(p_in - p_r - p_l) / scale)
     return PowerReport(p_in=p_in, p_r=p_r, p_l=p_l, eta=eta, balance_residual=residual)

@@ -184,16 +184,23 @@ def spectral_density_grid(spec, grid) -> np.ndarray:
     real eigenvalue) come back as nan gap values instead of raising.
     spectral_density, which inverts the matrix at one point, is the
     independent check of this route.
+
+    Both the matrix and the grid are shifted by the mean node frequency c
+    first. The eigenvalues then carry an absolute error of eps times the
+    spread of the frequencies, not eps times the frequencies themselves,
+    which would swamp losses many decades below them.
     """
+    matrix = _undriven_matrix(spec)
+    center = float(np.mean(spec.node_frequencies))
     try:
-        eigs = np.linalg.eigvals(_undriven_matrix(spec))
+        eigs = np.linalg.eigvals(matrix - center * np.eye(spec.n_nodes))
     except np.linalg.LinAlgError as exc:
         raise SingularNetwork(str(exc)) from None
-    grid = np.asarray(grid, dtype=float)
-    values = np.zeros(grid.shape)
+    shifted = np.asarray(grid, dtype=float) - center
+    values = np.zeros(shifted.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for lam in eigs:
-            values -= np.imag(1.0 / (grid - lam))
+            values -= np.imag(1.0 / (shifted - lam))
     values[~np.isfinite(values)] = np.nan
     return values
 

@@ -15,6 +15,8 @@ Delivered power is maximal for the conjugate match h_L = conj(h_th).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +44,10 @@ __all__ = [
 # Resolvent elements smaller than this (relative to the largest element of
 # the same resolvent column) count as a decoupled load node.
 DARK_RTOL = 1e-14
-# Grid points solved per batch by load_power_map; the cost per point
-# hardly depends on it.
-GRID_CHUNK = 2048
+# Bytes of full matrices that one batched solve of load_power_map holds,
+# and so what each of its workers holds. The cost per point hardly depends
+# on it; larger chunks only fragment the worker threads' heaps.
+GRID_CHUNK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -244,6 +247,13 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
 # --- grid-search verification ------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     """Delivered power from full network solves over a load-parameter grid.
 
@@ -253,35 +263,72 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     Returns a (len(delta_values), len(gamma_values)) array. Load values
     are checked as load_sweep checks them; a grid point that misses the
     residual contract or whose power overflows raises SingularNetwork.
+
+    The grid is solved in chunks of at most GRID_CHUNK_BYTES of matrices
+    (one matrix when a single one is larger), spread over the usable
+    CPUs. The calling thread takes one share and every other share gets a
+    thread, so a grid of one chunk starts none. Each point's solve is the
+    same whichever thread makes it, so the map does not depend on the
+    split; when chunks fail, the first failing one in grid order raises.
     """
     delta_values, gamma_values = _load_grid(delta_values, gamma_values)
     base = effective_matrix(spec, loaded=False)
     rhs = 1j * drive_vector(spec)
     load = spec.load.node
+    with np.errstate(all="ignore"):
+        bound = _residual_bound(np.linalg.norm(rhs))
 
     h_l = _load_term(delta_values[:, None], gamma_values[None, :]).ravel()
     amp_load = np.empty(h_l.size, dtype=complex)
-    # One stack of full matrices for every chunk; only the [L, L] entries
-    # differ between grid points, so only they are rewritten per chunk.
-    stack = np.empty((min(GRID_CHUNK, h_l.size),) + base.shape, dtype=complex)
-    stack[...] = base
-    # trailing singleton keeps batched solve in matrix mode on numpy 2.x
-    rhs_stack = np.broadcast_to(rhs[:, None], (stack.shape[0], rhs.size, 1))
-    with np.errstate(all="ignore"):
-        bound = _residual_bound(np.linalg.norm(rhs))
-        for start in range(0, h_l.size, GRID_CHUNK):
-            part = h_l[start : start + GRID_CHUNK]
-            mats = stack[: part.size]
-            mats[:, load, load] = base[load, load] + part
-            try:
-                sols = np.linalg.solve(mats, rhs_stack[: part.size])
-            except np.linalg.LinAlgError as exc:
-                raise SingularNetwork(str(exc)) from None
-            residual = np.linalg.norm((mats @ sols)[..., 0] - rhs, axis=1).max()
-            if not residual <= bound:
-                raise SingularNetwork(f"grid solve residual {residual:.3e} exceeds contract")
-            amp_load[start : start + GRID_CHUNK] = sols[:, load, 0]
+    chunk = max(1, GRID_CHUNK_BYTES // base.nbytes)
+    starts = range(0, h_l.size, chunk)
+    workers = max(1, min(_usable_cpus(), len(starts)))
+    errors = [None] * len(starts)
 
+    def solve_chunks(first):
+        """Solve chunks first, first + workers, ... in turn, stopping at
+        the first failure, whose error is kept at its chunk's index."""
+        index = first
+        try:
+            # One stack of full matrices per worker; only the [L, L]
+            # entries differ between grid points, so only they are
+            # rewritten per chunk.
+            stack = np.empty((min(chunk, h_l.size),) + base.shape, dtype=complex)
+            stack[...] = base
+            # trailing singleton keeps batched solve in matrix mode on numpy 2.x
+            rhs_stack = np.broadcast_to(rhs[:, None], (stack.shape[0], rhs.size, 1))
+            # errstate is per thread, so each worker sets its own
+            with np.errstate(all="ignore"):
+                for index in range(first, len(starts), workers):
+                    part = h_l[starts[index] : starts[index] + chunk]
+                    mats = stack[: part.size]
+                    mats[:, load, load] = base[load, load] + part
+                    try:
+                        sols = np.linalg.solve(mats, rhs_stack[: part.size])
+                    except np.linalg.LinAlgError as exc:
+                        raise SingularNetwork(str(exc)) from None
+                    residual = np.linalg.norm((mats @ sols)[..., 0] - rhs, axis=1).max()
+                    if not residual <= bound:
+                        raise SingularNetwork(f"grid solve residual {residual:.3e} exceeds contract")
+                    amp_load[starts[index] : starts[index] + chunk] = sols[:, load, 0]
+        except Exception as exc:  # raised again below, by the calling thread
+            errors[index] = exc
+
+    threads = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=solve_chunks, args=(first,))
+            thread.start()
+            threads.append(thread)
+        solve_chunks(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+    with np.errstate(all="ignore"):
         power = spec.drive.omega_d * gamma_values[None, :] * np.abs(
             amp_load.reshape(delta_values.size, gamma_values.size)
         ) ** 2

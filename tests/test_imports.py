@@ -2,8 +2,10 @@
 
 scipy costs more start-up time than numpy and all of qnet together, so only
 the routes that factor a matrix (scipy.linalg) or build a Liouvillian
-(scipy.sparse) import it. Every check runs in a fresh interpreter, because
-this test process imported scipy long ago.
+(scipy.sparse) import it. The grid map runs its workers on plain threads,
+so no command loads a pool module (scipy.linalg loads the
+concurrent.futures package, but not its executors). Every check runs in a
+fresh interpreter, because this test process imported scipy long ago.
 """
 import json
 import os
@@ -45,10 +47,18 @@ def scipy_modules(modules):
     return sorted(name for name in modules if name == "scipy" or name.startswith("scipy."))
 
 
+POOL_MODULES = {"concurrent.futures.thread", "concurrent.futures.process", "multiprocessing.pool"}
+
+
+def executor_modules(modules):
+    return sorted(POOL_MODULES & modules)
+
+
 def test_import_cli_loads_no_scipy():
     _, modules = fresh_run("import qnet.cli")
     assert "qnet.lindblad" not in modules
     assert scipy_modules(modules) == []
+    assert executor_modules(modules) == []
 
 
 def nan_config(tmp_path):
@@ -82,6 +92,20 @@ def test_solve_loads_dense_lapack_only(tmp_path):
     assert "scipy.linalg" in modules
     assert "scipy.sparse" not in modules
     assert "qnet.lindblad" not in modules
+    assert executor_modules(modules) == []
+
+
+def test_match_with_a_threaded_grid_check_loads_no_executor(tmp_path):
+    # a 5-node grid map spans several chunks, so it starts worker threads
+    net, out = str(tmp_path / "net.json"), tmp_path / "match.json"
+    code, modules = fresh_run(
+        "import qnet.cli\n"
+        f"qnet.cli.main(['gen', 'random', '--nodes', '5', '--seed', '1', '--out', {net!r}])\n"
+        f"code = qnet.cli.main(['match', '--config', {net!r}, '--grid-check', '--out', {str(out)!r}])"
+    )
+    assert code == 0
+    assert executor_modules(modules) == []
+    assert json.loads(out.read_text())["grid_check"]["within_one_cell"] is True
 
 
 def test_oracle_loads_the_sparse_route_and_reports(tmp_path):

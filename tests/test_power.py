@@ -83,6 +83,22 @@ class TestPowerBalance:
             report = qnet.power_report(probe, qnet.solve_amplitudes(probe))
             assert report.balance_residual <= 1e-8
 
+    @pytest.mark.parametrize("omega_d, rabi", [(1001.9, 0.3 + 0.1j), (1000.37, 0.7 - 0.2j)])
+    def test_drive_on_a_decoupled_lossless_node(self, omega_d, rabi):
+        # p_in is exactly zero but computes as a rounding-level remainder of
+        # either sign, so it cannot be the scale of the balance residual.
+        spec = qnet.NetworkSpec(
+            node_frequencies=np.array([1000.0, 1000.0]),
+            intrinsic_decays=np.array([0.0, 1.0]),
+            couplings=np.zeros((2, 2)),
+            drive=qnet.DriveSpec(node=0, omega_d=omega_d, rabi=rabi),
+            load=qnet.LoadSpec(node=1, gamma_load=1.0),
+        )
+        report = qnet.power_report(spec, qnet.solve_amplitudes(spec))
+        assert report.p_r == report.p_l == 0.0
+        assert abs(report.p_in) <= 1e-12
+        assert report.balance_residual <= 1e-12
+
 
 class TestTheveninForm:
     def test_zero_load_rate(self):

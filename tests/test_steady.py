@@ -211,6 +211,27 @@ class TestSpectralDensity:
         expected = np.array([qnet.spectral_density(spec, float(w)) for w in grid])
         assert np.abs(values - expected).max() <= 1e-10 * expected.max()
 
+    @pytest.mark.parametrize("n, seed", [(3, 1), (5, 2), (8, 3)])
+    def test_grid_keeps_relative_precision_at_tiny_losses(self, n, seed):
+        # frequencies near 1000 and losses near 1e-6: unshifted eigenvalues
+        # would carry an error of eps * 1000 against Lorentzians 1e-6 wide
+        rng = np.random.default_rng(seed)
+        couplings = np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1)
+        spec = qnet.NetworkSpec(
+            node_frequencies=1000.0 + rng.uniform(-1.0, 1.0, n),
+            intrinsic_decays=1e-6 * rng.uniform(0.5, 2.0, n),
+            couplings=couplings + couplings.T,
+            drive=qnet.DriveSpec(node=0, omega_d=1000.0, rabi=0.1),
+            load=qnet.LoadSpec(node=n - 1, gamma_load=0.0),
+        )
+        w = np.array(spec.couplings)
+        np.fill_diagonal(w, spec.node_frequencies)
+        modes = np.linalg.eigvalsh(w)
+        grid = np.concatenate([modes - 1e-3, modes + 1e-3, np.linspace(997.0, 1003.0, 13)])
+        values = qnet.spectral_density_grid(spec, grid)
+        expected = np.array([qnet.spectral_density(spec, float(w)) for w in grid])
+        assert np.abs(values / expected - 1.0).max() <= 1e-10
+
     def test_grid_at_exceptional_point(self):
         # gamma = (1, 0) and J = 1/4 merge both eigenvalues at 1000 - i/4
         # into one defective eigenvalue

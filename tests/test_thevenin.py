@@ -1,5 +1,9 @@
 """Single-node reduction: resolvent route, elimination route, load
 amplitude equivalence, matching, and the brute-force grid oracle."""
+import sys
+import threading
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -310,3 +314,90 @@ class TestGridOracle:
     def test_grid_check_needs_two_points_per_axis(self, n_points):
         with pytest.raises(ValidationError, match="need n_points >= 2"):
             qnet.grid_check(make_random_network(2, 17), n_points=n_points)
+
+
+def _points_per_chunk(n):
+    return qnet.thevenin.GRID_CHUNK_BYTES // (n * n * 16)
+
+
+class TestGridMapChunks:
+    """load_power_map splits its grid into chunks of GRID_CHUNK_BYTES of
+    matrices and spreads them over the usable CPUs. A grid row no longer
+    than one chunk runs inline, so row-by-row calls are the serial map."""
+
+    @pytest.mark.parametrize(
+        "n, rows, cpus", [(10, 7, None), (50, 30, None), (10, 30, 8)],
+        ids=["n10", "n50", "n10-8-workers"],
+    )
+    def test_map_is_bitwise_the_row_by_row_map(self, n, rows, cpus, monkeypatch):
+        if cpus is not None:  # more workers than this machine has cores
+            monkeypatch.setattr(qnet.thevenin, "_usable_cpus", lambda: cpus)
+        started = []
+
+        class SpyThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", SpyThread)
+        spec = make_random_network(n, 5)
+        matched = qnet.matched_load(spec)
+        deltas = matched.delta_omega + np.linspace(-1.0, 1.0, rows) * matched.gamma_load
+        # rows of two thirds of a chunk, so chunks straddle row boundaries
+        gammas = np.linspace(0.5, 1.5, 2 * _points_per_chunk(n) // 3) * matched.gamma_load
+        serial = np.vstack([qnet.load_power_map(spec, [d], gammas) for d in deltas])
+        assert started == []
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+        try:
+            power = qnet.load_power_map(spec, deltas, gammas)
+        finally:
+            sys.setswitchinterval(interval)
+        chunks = -(-power.size // _points_per_chunk(n))
+        assert chunks > 1
+        assert len(started) == min(qnet.thevenin._usable_cpus(), chunks) - 1
+        assert power.tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("deltas, gammas", [([], [1.0, 2.0]), ([0.1], [])])
+    def test_empty_grid_gives_an_empty_map(self, deltas, gammas):
+        power = qnet.load_power_map(make_random_network(5, 1), deltas, gammas)
+        assert power.shape == (len(deltas), len(gammas))
+
+    def test_first_failing_chunk_in_grid_order_raises(self, monkeypatch):
+        spec = make_random_network(50, 5)
+        load = spec.load.node
+        base_imag = qnet.effective_matrix(spec, loaded=False)[load, load].imag
+        deltas = np.arange(6.0)
+        gammas = np.ones(_points_per_chunk(50))  # chunk k is grid row k
+        solve = np.linalg.solve
+
+        def failing_solve(a, b):
+            row = round(a[0, load, load].imag - base_imag)
+            if row == 1:
+                time.sleep(0.2)  # fails last in time, first in grid order
+            if row in (1, 2, 3):
+                raise np.linalg.LinAlgError(f"chunk {row}")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        threads_before = threading.active_count()
+        with pytest.raises(SingularNetwork, match="^chunk 1$"):
+            qnet.load_power_map(spec, deltas, gammas)
+        assert threading.active_count() == threads_before
+
+    def test_map_memory_is_bounded_by_the_chunk_bytes(self):
+        # a stack of all 100 matrices of this grid would take 64 MB
+        spec = make_random_network(200, 1)
+        matched = qnet.matched_load(spec)
+        deltas = matched.delta_omega + np.linspace(-1.0, 1.0, 10) * matched.gamma_load
+        gammas = np.linspace(0.5, 1.5, 10) * matched.gamma_load
+        chunks = -(-deltas.size * gammas.size // _points_per_chunk(200))
+        workers = min(qnet.thevenin._usable_cpus(), chunks)
+        tracemalloc.start()
+        try:
+            qnet.load_power_map(spec, deltas, gammas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * qnet.thevenin.GRID_CHUNK_BYTES * workers
