@@ -267,6 +267,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"qnet: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # an array too large to allocate (numpy says how large) is bad input
+        print(f"qnet: input error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main_entry() -> None:

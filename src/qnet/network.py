@@ -10,6 +10,7 @@ import cmath
 import dataclasses
 import json
 import reprlib
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,13 @@ class LoadSpec:
 @dataclass(frozen=True, eq=False)
 class NetworkSpec:
     """Immutable description of a driven, lossy coupling network.
+
+    Specs must not be mutated. Validation and the load-free factorization
+    are memoised by object identity (require_valid and
+    thevenin._resolvent_pair), so a spec changed in place, say through
+    object.__setattr__ or an array made writable again, would be served
+    results computed for its old values. Derive a changed network with
+    with_load, with_drive or dataclasses.replace instead.
 
     Attributes
     ----------
@@ -186,11 +194,25 @@ def validate(spec: NetworkSpec) -> list[Violation]:
     return out
 
 
+# Weak reference to the last spec that passed require_valid. Callers check
+# one spec object several times in a row (load, then solve or reduce;
+# every probe of a grid check), so one entry serves them all; a failure is
+# never kept.
+_last_valid = None
+
+
 def require_valid(spec: NetworkSpec) -> None:
-    """Raise ValidationError when the spec has error-severity violations."""
+    """Raise ValidationError when the spec has error-severity violations.
+
+    A call with the same object as the last call that passed returns at
+    once: specs are immutable, so its verdict cannot have changed."""
+    global _last_valid
+    if _last_valid is not None and _last_valid() is spec:
+        return
     problems = [v.message for v in validate(spec) if v.severity == "error"]
     if problems:
         raise ValidationError("; ".join(problems))
+    _last_valid = weakref.ref(spec)
 
 
 def build_chain(n_nodes, omega_0, j, gamma, drive: DriveSpec, load: LoadSpec) -> NetworkSpec:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +79,28 @@ class MatchedLoad:
     p_max: float
 
 
+# (weak reference to a spec, x, y) of the last successful _resolvent_pair.
+# Reduction, match and load sweep of one spec object follow one another, so
+# one entry lets them share one factorization without keeping a spec alive.
+_last_resolvent = None
+
+
 def _resolvent_pair(spec: NetworkSpec):
     """Solve H x = e_load and H y = drive vector from one LU factorization
     of the load-free matrix H.
 
-    Returns (H, x, y). Raises SingularNetwork when a pivot is exactly zero
-    or the 1-norm condition estimate of H (LAPACK zgecon) exceeds
-    COND_LIMIT, and DarkNode when the load-node resolvent element vanishes.
+    Returns read-only (x, y). Raises SingularNetwork when a pivot is
+    exactly zero or the 1-norm condition estimate of H (LAPACK zgecon)
+    exceeds COND_LIMIT, and DarkNode when the load-node resolvent element
+    vanishes. The pair of the last spec object that succeeded is kept and
+    returned again for that object; H does not depend on the load, but a
+    with_load copy is a new object and is factored afresh. Only
+    thevenin_equivalent, matched_load and load_sweep read it; the oracles
+    never do.
     """
+    global _last_resolvent
+    if _last_resolvent is not None and _last_resolvent[0]() is spec:
+        return _last_resolvent[1:]
     matrix = effective_matrix(spec, loaded=False)
     n = spec.n_nodes
     load = spec.load.node
@@ -93,18 +108,20 @@ def _resolvent_pair(spec: NetworkSpec):
     rhs[load, 0] = 1.0
     rhs[spec.drive.node, 1] = spec.drive.rabi
     sol = _Factorization(matrix).solve(rhs)
+    sol.setflags(write=False)
+    x, y = sol.T
 
-    x = sol[:, 0]
     if abs(x[load]) <= DARK_RTOL * np.abs(x).max():
         raise DarkNode(
             f"load node {load} is decoupled at drive frequency {spec.drive.omega_d!r}"
         )
-    return matrix, x, sol[:, 1]
+    _last_resolvent = (weakref.ref(spec), x, y)
+    return x, y
 
 
 def thevenin_equivalent(spec: NetworkSpec) -> TheveninEquivalent:
     """Both equivalent quantities from a single factorization."""
-    _, x, y = _resolvent_pair(spec)
+    x, y = _resolvent_pair(spec)
     load = spec.load.node
     return TheveninEquivalent(
         h_th=complex(1.0 / x[load]),
@@ -218,7 +235,10 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
     power_report are the independent check of this route.
     """
     _, gamma_values = _load_grid((), gamma_values)
-    matrix, x, y = _resolvent_pair(spec)
+    x, y = _resolvent_pair(spec)
+    # H is rebuilt, not kept beside x and y: an N x N copy per memo entry
+    # would cost more memory than the build costs time
+    matrix = effective_matrix(spec, loaded=False)
     load = spec.load.node
     h_l = _load_term(spec.load.delta_omega, gamma_values)
     rhs = 1j * drive_vector(spec)

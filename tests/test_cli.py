@@ -1,5 +1,8 @@
 """End-to-end command-line behaviour: outputs, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -436,6 +439,44 @@ class TestOracle:
         path = two_node_config(tmp_path)
         code, _, _ = run(capsys, "oracle", "--config", path, "--n-max", "100")
         assert code == 5
+
+
+class TestOutOfMemory:
+    """Requests for arrays far too large to allocate end with exit 2 and
+    one line. Each runs in a child interpreter capped at 4 GiB of address
+    space, so that numpy's refusal cannot turn into a real allocation on a
+    machine that overcommits memory."""
+
+    LIMIT = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30))\n"
+        "import sys; from qnet.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+
+    def run_capped(self, *argv):
+        pytest.importorskip("resource")
+        return subprocess.run(
+            [sys.executable, "-c", self.LIMIT, *argv],
+            env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_sweep_with_too_many_points_exits_2(self):
+        done = self.run_capped(
+            "sweep", "--config", str(CONFIGS / "two_node.json"), "--var", "omega",
+            "--min", "1", "--max", "2", "--points", "1000000000000",
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("qnet: input error: Unable to allocate")
+        assert done.stderr.count("\n") == 1
+
+    def test_gen_with_too_many_nodes_exits_2(self, tmp_path):
+        out_path = tmp_path / "x.json"
+        done = self.run_capped("gen", "random", "--nodes", "100000000", "--out", str(out_path))
+        assert done.returncode == 2
+        assert done.stderr.startswith("qnet: input error: Unable to allocate")
+        assert done.stderr.count("\n") == 1
+        assert not out_path.exists()
 
 
 class TestConsistencyAcrossCommands:

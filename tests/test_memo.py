@@ -1,0 +1,168 @@
+"""The one-entry memos behind require_valid and the load-free resolvent
+pair: how often each route validates and factors, that a memoised result
+is bitwise the fresh one, that neither memo keeps a spec alive or forgets
+a failure, and that the oracles never read the resolvent memo."""
+import dataclasses
+import gc
+import weakref
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qnet
+import qnet.network
+import qnet.steady
+import qnet.thevenin
+from qnet.cli import SweepRequest, main, run_sweep
+from qnet.errors import DarkNode, ValidationError
+
+from conftest import make_random_network, two_node_resonant
+
+TWO_NODE = str(Path(__file__).resolve().parent.parent / "configs" / "two_node.json")
+
+
+@pytest.fixture(autouse=True)
+def empty_memos(monkeypatch):
+    monkeypatch.setattr(qnet.network, "_last_valid", None)
+    monkeypatch.setattr(qnet.thevenin, "_last_resolvent", None)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Live counts of validate calls and of LU factorizations."""
+    seen = {"validate": 0, "lu": 0}
+    validate = qnet.network.validate
+
+    def counting_validate(spec):
+        seen["validate"] += 1
+        return validate(spec)
+
+    class CountingFactorization(qnet.steady._Factorization):
+        def __init__(self, matrix):
+            seen["lu"] += 1
+            super().__init__(matrix)
+
+    monkeypatch.setattr(qnet.network, "validate", counting_validate)
+    monkeypatch.setattr(qnet.steady, "_Factorization", CountingFactorization)
+    monkeypatch.setattr(qnet.thevenin, "_Factorization", CountingFactorization)
+    return seen
+
+
+def fresh(spec):
+    """An equal spec that no memo has seen."""
+    return dataclasses.replace(spec)
+
+
+class TestCounts:
+    def test_design_study(self, counts):
+        # solve, reduce, match, solve at the match: the reduction and the
+        # match share one check and one factorization
+        for n in (2, 10, 50):
+            spec = fresh(make_random_network(n, 0))
+            before = dict(counts)
+            qnet.power_report(spec, qnet.solve_amplitudes(spec))
+            qnet.thevenin_equivalent(spec)
+            matched = qnet.matched_load(spec)
+            probe = spec.with_load(delta_omega=matched.delta_omega, gamma_load=matched.gamma_load)
+            qnet.power_report(probe, qnet.solve_amplitudes(probe))
+            assert counts["lu"] - before["lu"] == 3
+            assert counts["validate"] - before["validate"] == 2
+
+    def test_grid_check(self, counts):
+        qnet.grid_check(fresh(two_node_resonant()), n_points=20)
+        assert counts == {"validate": 1, "lu": 1}
+
+    def test_cold_match_with_grid_check(self, counts, capsys):
+        assert main(["match", "--config", TWO_NODE, "--grid-check"]) == 0
+        capsys.readouterr()
+        assert counts == {"validate": 1, "lu": 1}
+
+    def test_gamma_load_sweep(self, counts):
+        run_sweep(SweepRequest(TWO_NODE, "gamma_load", 0.1, 5.0, 7))
+        assert counts == {"validate": 1, "lu": 1}
+
+    def test_with_load_copy_is_a_miss(self, counts):
+        spec = fresh(make_random_network(5, 1))
+        counts.update(validate=0, lu=0)
+        qnet.thevenin_equivalent(spec)
+        qnet.thevenin_equivalent(spec.with_load(gamma_load=2.0))
+        assert counts == {"validate": 2, "lu": 2}
+
+
+class TestMemoisedEqualsFresh:
+    @pytest.mark.parametrize("n,seed", [(2, 0), (10, 3), (50, 1)])
+    def test_bitwise(self, n, seed):
+        spec = make_random_network(n, seed)
+        gammas = np.geomspace(0.05, 20.0, 9)
+        routes = (qnet.thevenin_equivalent, qnet.matched_load, lambda s: qnet.load_sweep(s, gammas))
+        # the second and third calls on `spec` read the memo ...
+        memoised = [route(spec) for route in routes]
+        assert qnet.thevenin._last_resolvent[0]() is spec
+        # ... and each call on a copy factors afresh
+        fresh_results = []
+        for route in routes:
+            qnet.thevenin._last_resolvent = None
+            fresh_results.append(route(fresh(spec)))
+        assert memoised[0] == fresh_results[0]
+        assert memoised[1] == fresh_results[1]
+        assert memoised[2].tobytes() == fresh_results[2].tobytes()
+
+    def test_memoised_columns_are_read_only(self):
+        spec = make_random_network(5, 0)
+        x, y = qnet.thevenin._resolvent_pair(spec)
+        assert not x.flags.writeable and not y.flags.writeable
+        assert qnet.thevenin._resolvent_pair(spec)[0] is x
+
+
+class TestLifetime:
+    def test_memos_do_not_keep_a_spec_alive(self):
+        spec = fresh(make_random_network(10, 2))
+        qnet.load_sweep(spec, [0.5, 1.0])
+        alive = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert alive() is None
+        assert qnet.network._last_valid() is None
+        assert qnet.thevenin._last_resolvent[0]() is None
+
+    def test_invalid_spec_raises_every_time(self):
+        valid = two_node_resonant()
+        invalid = dataclasses.replace(valid, intrinsic_decays=np.array([1.3, -0.5]))
+        for _ in range(3):
+            qnet.network.require_valid(valid)
+            qnet.thevenin_equivalent(valid)
+            with pytest.raises(ValidationError, match="intrinsic decay must be >= 0"):
+                qnet.network.require_valid(invalid)
+            with pytest.raises(ValidationError, match="intrinsic decay must be >= 0"):
+                qnet.thevenin_equivalent(invalid)
+            assert qnet.network._last_valid() is valid
+
+    def test_dark_node_is_not_remembered(self):
+        # a lossless resonant first node makes the load-node resolvent vanish
+        dark = dataclasses.replace(two_node_resonant(), intrinsic_decays=np.array([0.0, 0.7]))
+        lit = two_node_resonant()
+        qnet.thevenin_equivalent(lit)
+        for _ in range(2):
+            with pytest.raises(DarkNode):
+                qnet.thevenin_equivalent(dark)
+            assert qnet.thevenin._last_resolvent[0]() is lit
+
+
+class TestOraclesIgnoreTheMemo:
+    def test_poisoned_memo_reaches_only_the_fast_routes(self):
+        spec = make_random_network(5, 4)
+        truth = qnet.thevenin_equivalent(spec)
+        x, y = qnet.thevenin._resolvent_pair(spec)
+        qnet.thevenin._last_resolvent = (weakref.ref(spec), 2.0 * x, 2.0 * y)
+        # the fast route reads the poisoned pair ...
+        assert qnet.thevenin_equivalent(spec).h_th == pytest.approx(truth.h_th / 2.0, rel=1e-12)
+        # ... and no oracle does
+        elimination = qnet.thevenin_by_elimination(spec)
+        assert elimination.h_th == pytest.approx(truth.h_th, rel=1e-10)
+        full = qnet.solve_amplitudes(spec).amplitudes[spec.load.node]
+        reduced = qnet.load_amplitude_from_thevenin(truth, spec.load)
+        assert full == pytest.approx(reduced, rel=1e-10)
+        grid = qnet.load_power_map(spec, [spec.load.delta_omega], [spec.load.gamma_load])
+        p_l = qnet.power_report(spec, qnet.solve_amplitudes(spec)).p_l
+        assert grid[0, 0] == pytest.approx(p_l, rel=1e-10)

@@ -1,7 +1,8 @@
 """Property tests on random weak-coupling networks: the resolvent and
 elimination routes agree, the reduced load amplitude equals the full solve,
 the equivalent is passive, a matched load takes at most half the power,
-the steady state balances input against dissipated power, and configs
+gamma_th equals its loss-weighted identity, the steady state balances
+input against dissipated power, and configs
 survive a round trip. A config fuzzer checks that the CLI answers every
 mutated config with a documented exit code and strict JSON."""
 import contextlib
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import qnet  # noqa: E402
 from qnet.cli import main  # noqa: E402
 
-from conftest import strict_json  # noqa: E402
+from conftest import make_random_network, strict_json  # noqa: E402
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -99,6 +100,27 @@ def test_thevenin_equivalent_is_passive(spec):
     # every loss is at least 0.1, so the Hermitian part of H is -Gamma/2 < 0,
     # Re x_L = Re (H^-1)_LL < 0 and gamma_th = -2 Re(1 / x_L) > 0
     assert qnet.thevenin_equivalent(spec).gamma_th > 0
+
+
+def _gamma_th_identity(spec):
+    """gamma_th = sum_n gamma_n |x_n|^2 / |x_L|^2 with x = H^-1 e_L, from
+    the real part of x^H H x = conj(x_L): a sum of nonnegative terms, so
+    it suffers no cancellation."""
+    x = np.linalg.solve(qnet.effective_matrix(spec, loaded=False), np.eye(spec.n_nodes)[spec.load.node])
+    return float(np.sum(spec.intrinsic_decays * np.abs(x) ** 2) / np.abs(x[spec.load.node]) ** 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weak_coupling_networks())
+def test_gamma_th_identity(spec):
+    assert _close(qnet.thevenin_equivalent(spec).gamma_th, _gamma_th_identity(spec))
+
+
+@pytest.mark.parametrize("n", (2, 5, 10, 50))
+def test_gamma_th_identity_on_corpus(n):
+    for seed in range(5):
+        spec = make_random_network(n, seed)
+        assert _close(qnet.thevenin_equivalent(spec).gamma_th, _gamma_th_identity(spec))
 
 
 @settings(max_examples=100, deadline=None)
