@@ -90,13 +90,13 @@ def _resolvent_pair(spec: NetworkSpec):
     of the load-free matrix H.
 
     Returns read-only (x, y). Raises SingularNetwork when a pivot is
-    exactly zero or the 1-norm condition estimate of H (LAPACK zgecon)
-    exceeds COND_LIMIT, and DarkNode when the load-node resolvent element
-    vanishes. The pair of the last spec object that succeeded is kept and
-    returned again for that object; H does not depend on the load, but a
-    with_load copy is a new object and is factored afresh. Only
-    thevenin_equivalent, matched_load and load_sweep read it; the oracles
-    never do.
+    exactly zero or the 1-norm condition estimate of H (LAPACK zgecon, or
+    zgbcon when H is banded) exceeds COND_LIMIT, and DarkNode when the
+    load-node resolvent element vanishes. The pair of the last spec object
+    that succeeded is kept and returned again for that object; H does not
+    depend on the load, but a with_load copy is a new object and is
+    factored afresh. Only thevenin_equivalent, matched_load and load_sweep
+    read it; the oracles never do.
     """
     global _last_resolvent
     if _last_resolvent is not None and _last_resolvent[0]() is spec:

@@ -11,10 +11,8 @@ SEEDS_PER_SIZE = 26
 LOADS_PER_NETWORK = 10
 
 
-def make_random_network(n, seed, gamma=1.0, j_avg=2.5, j_std=1.0):
-    """Deterministic random all-to-all network with a complex drive and a
-    generic load attachment."""
-    rng = np.random.default_rng(10_000 + 131 * n + seed)
+def _drive_and_load(rng, n):
+    """A complex drive at node 0 and a generic load at node n - 1."""
     drive = qnet.DriveSpec(
         node=0,
         omega_d=1000.0 + rng.uniform(-4.0, 4.0),
@@ -25,7 +23,47 @@ def make_random_network(n, seed, gamma=1.0, j_avg=2.5, j_std=1.0):
         delta_omega=rng.uniform(-2.0, 2.0),
         gamma_load=float(np.exp(rng.uniform(np.log(0.2), np.log(5.0)))),
     )
+    return drive, load
+
+
+def make_random_network(n, seed, gamma=1.0, j_avg=2.5, j_std=1.0):
+    """Deterministic random all-to-all network with a complex drive and a
+    generic load attachment."""
+    drive, load = _drive_and_load(np.random.default_rng(10_000 + 131 * n + seed), n)
     return qnet.build_random_all_to_all(n, 1000.0, j_avg, j_std, gamma, seed, drive, load)
+
+
+def sparse_edges(n, shape):
+    """Coupled node pairs of a chain (bandwidth 1), a ladder (bandwidth 2:
+    the even and the odd nodes form its two legs, and nodes 2r and 2r + 1
+    its rungs) or a ring (a chain closed by the pair (0, n - 1), so its
+    bandwidth is n - 1)."""
+    chain = [(i, i + 1) for i in range(n - 1)]
+    if shape == "chain":
+        return chain
+    if shape == "ring":
+        return chain + [(0, n - 1)]
+    if shape == "ladder":
+        return [(i, i + 2) for i in range(n - 2)] + chain[::2]
+    raise ValueError(shape)
+
+
+def make_sparse_network(n, shape, seed):
+    """Deterministic network with N(2.5, 1) couplings on the edges of
+    `sparse_edges(n, shape)` only, losses in [0.5, 1.5] and the drive and
+    load of make_random_network."""
+    rng = np.random.default_rng(20_000 + 131 * n + seed)
+    drive, load = _drive_and_load(rng, n)
+    edges = np.array(sparse_edges(n, shape)).T
+    couplings = np.zeros((n, n))
+    couplings[edges[0], edges[1]] = rng.normal(2.5, 1.0, size=edges.shape[1])
+    return qnet.NetworkSpec(
+        node_frequencies=np.full(n, 1000.0),
+        intrinsic_decays=rng.uniform(0.5, 1.5, size=n),
+        couplings=couplings + couplings.T,
+        drive=drive,
+        load=load,
+    )
 
 
 def load_settings(network_id, count=LOADS_PER_NETWORK):

@@ -119,6 +119,21 @@ class TestSolve:
         assert err.startswith("qnet: condition estimate")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", [1, 10])
+    def test_lossless_chain_on_a_mode_exits_3(self, capsys, tmp_path, mode):
+        # a tridiagonal chain, factored in band storage, driven on one of its
+        # modes omega_0 + 2 J cos(pi m / (n + 1)) with no loss anywhere
+        n, j = 20, 2.5
+        spec = qnet.build_chain(
+            n, 1000.0, j, 0.0,
+            qnet.DriveSpec(node=0, omega_d=1000.0 + 2 * j * np.cos(np.pi * mode / (n + 1)), rabi=0.1),
+            qnet.LoadSpec(node=n - 1, gamma_load=0.0),
+        )
+        code, out, err = run(capsys, "solve", "--config", write_config(tmp_path, spec))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qnet: condition estimate")
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
         "section,key",

@@ -1,10 +1,11 @@
 """Property tests on random weak-coupling networks: the resolvent and
-elimination routes agree, the reduced load amplitude equals the full solve,
-the equivalent is passive, a matched load takes at most half the power,
-gamma_th equals its loss-weighted identity, the steady state balances
-input against dissipated power, and configs
-survive a round trip. A config fuzzer checks that the CLI answers every
-mutated config with a documented exit code and strict JSON."""
+elimination routes agree, the reduced load amplitude equals the full solve
+(also on banded networks factored in band storage), the equivalent is
+passive, a matched load takes at most half the power, gamma_th equals its
+loss-weighted identity, the steady state balances input against dissipated
+power, and configs survive a round trip. A config fuzzer checks that the
+CLI answers every mutated config with a documented exit code and strict
+JSON."""
 import contextlib
 import copy
 import io
@@ -19,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import qnet  # noqa: E402
+from qnet import steady  # noqa: E402
 from qnet.cli import main  # noqa: E402
 
 from conftest import make_random_network, strict_json  # noqa: E402
@@ -27,16 +29,21 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def weak_coupling_networks(draw, max_nodes=12):
-    """Networks with N <= 12 nodes near 1000, losses in [0.1, 2] and
-    couplings of magnitude at most 5, driven and loaded anywhere."""
-    n = draw(st.integers(1, max_nodes))
+def weak_coupling_networks(draw, max_nodes=12, banded=False):
+    """Networks with N <= max_nodes nodes near 1000, losses in [0.1, 2] and
+    couplings of magnitude at most 5, driven and loaded anywhere. With
+    `banded`, N >= 9 and only nodes at most k apart in index are coupled,
+    with 8 k < N, so that every matrix is factored in band storage."""
+    n = draw(st.integers(9 if banded else 1, max_nodes))
     frequencies = draw(st.lists(st.floats(995.0, 1005.0, **_finite), min_size=n, max_size=n))
     decays = draw(st.lists(st.floats(0.1, 2.0, **_finite), min_size=n, max_size=n))
-    upper = draw(st.lists(st.floats(-5.0, 5.0, **_finite), min_size=n * (n - 1) // 2,
-                          max_size=n * (n - 1) // 2))
+    reach = draw(st.integers(1, (n - 1) // 8)) if banded else n - 1
+    rows, cols = np.triu_indices(n, 1)
+    inside = cols - rows <= reach
+    size = int(inside.sum())
+    upper = draw(st.lists(st.floats(-5.0, 5.0, **_finite), min_size=size, max_size=size))
     couplings = np.zeros((n, n))
-    couplings[np.triu_indices(n, 1)] = upper
+    couplings[rows[inside], cols[inside]] = upper
     couplings += couplings.T
     rabi = draw(st.floats(0.01, 1.0, **_finite)) * np.exp(1j * draw(st.floats(0.0, 6.3, **_finite)))
     return qnet.NetworkSpec(
@@ -89,6 +96,15 @@ def test_resolvent_agrees_with_elimination(spec):
 @given(weak_coupling_networks())
 @example(_SUBNORMAL_LOAD_AMPLITUDE)
 def test_reduced_load_amplitude_matches_full_solve(spec):
+    full = qnet.solve_amplitudes(spec).amplitudes[spec.load.node]
+    reduced = qnet.load_amplitude_from_thevenin(qnet.thevenin_equivalent(spec), spec.load)
+    assert _close(reduced, full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weak_coupling_networks(max_nodes=60, banded=True))
+def test_reduced_load_amplitude_matches_full_solve_in_band_storage(spec):
+    assert 8 * steady._bandwidth(qnet.effective_matrix(spec)) < spec.n_nodes
     full = qnet.solve_amplitudes(spec).amplitudes[spec.load.node]
     reduced = qnet.load_amplitude_from_thevenin(qnet.thevenin_equivalent(spec), spec.load)
     assert _close(reduced, full)

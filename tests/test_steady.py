@@ -1,5 +1,8 @@
 """Effective matrix construction, direct solve, spectral density and the
 time-domain relaxation oracle."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ import qnet
 from qnet import steady
 from qnet.errors import ConvergenceFailure, SingularNetwork, ValidationError
 
-from conftest import make_random_network
+from conftest import make_random_network, make_sparse_network
 
 
 def _one_node(omega_d, gamma=1.0, rabi=0.1 + 0.0j, omega_0=1000.0, gamma_load=0.0):
@@ -125,22 +128,88 @@ class TestConditionThreshold:
         assert abs(reduced - full) <= 1e-10 * abs(full)
 
 
+def _assert_estimate_brackets(matrix):
+    # zgecon and zgbcon estimate |A^-1|_1 from below and are rarely off by
+    # more than a factor of 3 (Higham, ch. 15)
+    cond1 = np.linalg.cond(matrix, 1)
+    estimate = 1.0 / steady._Factorization(matrix).rcond
+    assert cond1 / 3.0 <= estimate <= cond1 * (1.0 + 1e-12)
+
+
 class TestFactorization:
     @pytest.mark.parametrize("n", [2, 5, 10, 50, 200])
     @pytest.mark.parametrize("loaded", [False, True])
     def test_condition_estimate_brackets_exact_value(self, n, loaded):
-        # zgecon estimates |A^-1|_1 from below and is rarely off by more
-        # than a factor of 3 (Higham, ch. 15)
         for seed in range(5):
-            matrix = qnet.effective_matrix(make_random_network(n, seed), loaded)
-            cond1 = np.linalg.cond(matrix, 1)
-            estimate = 1.0 / steady._Factorization(matrix).rcond
-            assert cond1 / 3.0 <= estimate <= cond1 * (1.0 + 1e-12)
+            _assert_estimate_brackets(qnet.effective_matrix(make_random_network(n, seed), loaded))
+
+    @pytest.mark.parametrize("n", [10, 50, 200])
+    @pytest.mark.parametrize("shape", ["chain", "ladder"])
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_band_condition_estimate_brackets_exact_value(self, n, shape, loaded):
+        for seed in range(5):
+            _assert_estimate_brackets(qnet.effective_matrix(make_sparse_network(n, shape, seed), loaded))
+
+    @pytest.mark.parametrize(
+        "shape, n, band",
+        [("chain", 9, 1), ("chain", 10, 1), ("chain", 200, 1), ("ladder", 10, None),
+         ("ladder", 17, 2), ("ladder", 200, 2), ("ring", 50, None), ("ring", 200, None)],
+    )
+    def test_band_and_dense_routes_match_a_plain_solve(self, shape, n, band):
+        # 8 k < n takes band storage; a ring's closing pair makes k = n - 1
+        rng = np.random.default_rng(n)
+        for seed in range(3):
+            matrix = qnet.effective_matrix(make_sparse_network(n, shape, seed))
+            factors = steady._Factorization(matrix)
+            assert factors.band == band
+            rhs = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+            expected = np.linalg.solve(matrix, rhs)
+            for got, want in ((factors.solve(rhs), expected), (factors.solve(rhs[:, 0]), expected[:, 0])):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_band_route_on_a_nonsymmetric_matrix(self):
+        # network matrices are symmetric; this one tells a transposed band apart
+        rng = np.random.default_rng(3)
+        n = 40
+        matrix = np.triu(np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1), -3)
+        matrix += 4.0 * np.eye(n)
+        factors = steady._Factorization(matrix)
+        assert factors.band == 3
+        rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        expected = np.linalg.solve(matrix, rhs)
+        assert np.linalg.norm(factors.solve(rhs) - expected) <= 1e-12 * np.linalg.norm(expected)
+        _assert_estimate_brackets(matrix)
+
+    def test_small_matrices_skip_the_band_route(self):
+        # at n <= 8 only a diagonal matrix meets 8 k < n; it goes dense
+        assert steady._Factorization(np.diag(np.arange(1.0, 9.0)) + 0j).band is None
+        assert steady._Factorization(np.diag(np.arange(1.0, 10.0)) + 0j).band == 0
 
     def test_exact_zero_pivot(self):
         matrix = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
         with pytest.raises(SingularNetwork, match="zero pivot"):
             steady._Factorization(matrix)
+
+    def test_exact_zero_pivot_in_band_storage(self):
+        # the same singular block inside a tridiagonal 10 x 10 matrix
+        matrix = np.eye(10, dtype=complex)
+        matrix[:2, :2] = [[1.0, 2.0], [2.0, 4.0]]
+        assert steady._bandwidth(matrix) == 1
+        with pytest.raises(SingularNetwork, match="zero pivot in column 2"):
+            steady._Factorization(matrix)
+
+    @pytest.mark.parametrize("shape", ["chain", "ring"])
+    def test_factors_die_with_their_last_reference(self, shape):
+        # no reference cycle: the factors go at once, not at a gc pass
+        factors = steady._Factorization(qnet.effective_matrix(make_sparse_network(50, shape, 0)))
+        assert (factors.band is None) == (shape == "ring")
+        gc.disable()
+        try:
+            ref = weakref.ref(factors)
+            del factors
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSpectralDensity:
