@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
-from .network import NetworkSpec, require_valid
+from .network import NetworkSpec
 from .power import general_power_from_correlators, input_power, load_power, radiated_power
 from .steady import SteadyState, solve_amplitudes
 
@@ -110,7 +110,6 @@ def build_liouvillian(spec: NetworkSpec, cfg: FockConfig):
     """Vectorized generator of the dissipative dynamics (sparse, column
     stacking convention: d vec(rho)/dt = L vec(rho)). Raises
     SingularNetwork when an entry overflows double precision."""
-    require_valid(spec)
     if cfg.nodes != spec.n_nodes:
         raise ValidationError(
             f"FockConfig is for {cfg.nodes} nodes but the network has {spec.n_nodes}"

@@ -10,7 +10,6 @@ import cmath
 import dataclasses
 import json
 import reprlib
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +55,16 @@ class LoadSpec:
 class NetworkSpec:
     """Immutable description of a driven, lossy coupling network.
 
-    Specs must not be mutated. Validation and the load-free factorization
-    are memoised by object identity (require_valid and
-    thevenin._resolvent_pair), so a spec changed in place, say through
-    object.__setattr__ or an array made writable again, would be served
-    results computed for its old values. Derive a changed network with
-    with_load, with_drive or dataclasses.replace instead.
+    A spec is validated when it is built: construction, with_load,
+    with_drive and dataclasses.replace raise ValidationError on an
+    error-severity violation, so every spec that exists is valid.
+
+    Specs must not be mutated. The load-free factorization is memoised by
+    object identity (thevenin._resolvent_pair), so a spec changed in place,
+    say through object.__setattr__ or an array made writable again, would
+    be served results computed for its old values and would bypass
+    validation. Derive a changed network with with_load, with_drive or
+    dataclasses.replace instead.
 
     Attributes
     ----------
@@ -80,9 +83,18 @@ class NetworkSpec:
 
     def __post_init__(self):
         for name in ("node_frequencies", "intrinsic_decays", "couplings"):
-            arr = np.array(getattr(self, name), dtype=float)
+            try:
+                raw = np.asarray(getattr(self, name))
+            except ValueError:  # nested sequences of unequal lengths
+                raise ValidationError(f"{name} must be a rectangular array") from None
+            if raw.dtype.kind not in "biuf":  # bool, int or float; complex is refused, not cut
+                raise ValidationError(f"{name} must be real numbers, got dtype {raw.dtype}")
+            arr = np.array(raw, dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        problems = [v.message for v in validate(self) if v.severity == "error"]
+        if problems:
+            raise ValidationError("; ".join(problems))
 
     @property
     def n_nodes(self) -> int:
@@ -119,7 +131,9 @@ def validate(spec: NetworkSpec) -> list[Violation]:
     Returns an empty list when everything holds. Dimension, finiteness,
     symmetry, sign and index problems are reported with severity "error"; the
     weak-coupling plausibility check (rates not small against the node
-    frequencies) is reported as a "warning" only.
+    frequencies) is reported as a "warning" only. NetworkSpec runs this
+    check when it is built and refuses errors, so on an existing spec the
+    list can hold only the warning.
     """
     out = []
     err = lambda msg: out.append(Violation("error", msg))
@@ -127,13 +141,12 @@ def validate(spec: NetworkSpec) -> list[Violation]:
     omega = spec.node_frequencies
     gamma = spec.intrinsic_decays
     J = spec.couplings
+    if omega.ndim != 1 or gamma.shape != omega.shape:
+        err(f"node_frequencies/intrinsic_decays shapes differ: {omega.shape} vs {gamma.shape}")
+        return out
     n = len(omega)
-
     if n < 1:
         err("network must contain at least one node")
-        return out
-    if omega.ndim != 1 or gamma.shape != (n,):
-        err(f"node_frequencies/intrinsic_decays shapes differ: {omega.shape} vs {gamma.shape}")
         return out
     if J.shape != (n, n):
         err(f"couplings must be {n}x{n}, got {J.shape}")
@@ -167,12 +180,17 @@ def validate(spec: NetworkSpec) -> list[Violation]:
         i = int(np.argmin(gamma))
         err(f"intrinsic decay must be >= 0: gamma[{i}]={gamma[i]!r}")
 
-    if not 0 <= spec.drive.node < n:
-        err(f"drive node {spec.drive.node} out of range [0, {n})")
+    def check_node(name, node):
+        # the rule of from_config_dict: True is not node 1, nor 0.5 a node
+        if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
+            err(f"{name} node must be an integer, got {node!r}")
+        elif not 0 <= node < n:
+            err(f"{name} node {node} out of range [0, {n})")
+
+    check_node("drive", spec.drive.node)
     if not spec.drive.omega_d > 0:
         err(f"drive frequency must be positive, got {spec.drive.omega_d!r}")
-    if not 0 <= spec.load.node < n:
-        err(f"load node {spec.load.node} out of range [0, {n})")
+    check_node("load", spec.load.node)
     if spec.load.gamma_load < 0:
         err(f"load decay must be >= 0: {spec.load.gamma_load!r}")
 
@@ -182,7 +200,7 @@ def validate(spec: NetworkSpec) -> list[Violation]:
         float(gamma.max(initial=0.0)),
         float(spec.load.gamma_load),
     )
-    if n >= 1 and rate_scale >= float(omega.min()) / 10.0:
+    if rate_scale >= float(omega.min()) / 10.0:
         out.append(
             Violation(
                 "warning",
@@ -192,27 +210,6 @@ def validate(spec: NetworkSpec) -> list[Violation]:
             )
         )
     return out
-
-
-# Weak reference to the last spec that passed require_valid. Callers check
-# one spec object several times in a row (load, then solve or reduce;
-# every probe of a grid check), so one entry serves them all; a failure is
-# never kept.
-_last_valid = None
-
-
-def require_valid(spec: NetworkSpec) -> None:
-    """Raise ValidationError when the spec has error-severity violations.
-
-    A call with the same object as the last call that passed returns at
-    once: specs are immutable, so its verdict cannot have changed."""
-    global _last_valid
-    if _last_valid is not None and _last_valid() is spec:
-        return
-    problems = [v.message for v in validate(spec) if v.severity == "error"]
-    if problems:
-        raise ValidationError("; ".join(problems))
-    _last_valid = weakref.ref(spec)
 
 
 def build_chain(n_nodes, omega_0, j, gamma, drive: DriveSpec, load: LoadSpec) -> NetworkSpec:
@@ -228,15 +225,13 @@ def build_chain(n_nodes, omega_0, j, gamma, drive: DriveSpec, load: LoadSpec) ->
     idx = np.arange(n_nodes - 1)
     couplings[idx, idx + 1] = j
     couplings[idx + 1, idx] = j
-    spec = NetworkSpec(
+    return NetworkSpec(
         node_frequencies=np.full(n_nodes, float(omega_0)),
         intrinsic_decays=np.full(n_nodes, float(gamma)),
         couplings=couplings,
         drive=drive,
         load=load,
     )
-    require_valid(spec)
-    return spec
 
 
 def build_random_all_to_all(
@@ -260,15 +255,13 @@ def build_random_all_to_all(
     iu = np.triu_indices(n_nodes, k=1)
     couplings[iu] = rng.normal(j_avg, j_std, size=len(iu[0]))
     couplings = couplings + couplings.T
-    spec = NetworkSpec(
+    return NetworkSpec(
         node_frequencies=np.full(n_nodes, float(omega_0)),
         intrinsic_decays=np.full(n_nodes, float(gamma)),
         couplings=couplings,
         drive=drive,
         load=load,
     )
-    require_valid(spec)
-    return spec
 
 
 # --- config file (JSON) serialization ---------------------------------------
@@ -346,9 +339,7 @@ def from_config_dict(data: dict) -> NetworkSpec:
         gamma_load=_get(ld, "gamma_load", float, "load"),
     )
 
-    spec = NetworkSpec(omega, gamma, couplings, drive, load)
-    require_valid(spec)
-    return spec
+    return NetworkSpec(omega, gamma, couplings, drive, load)
 
 
 def to_config_dict(spec: NetworkSpec, seed=None) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, SingularNetwork, ValidationError
-from .network import NetworkSpec, require_valid
+from .network import NetworkSpec
 
 __all__ = [
     "SteadyState",
@@ -59,9 +59,7 @@ def _frequency_matrix(spec: NetworkSpec) -> np.ndarray:
 
 
 def _undriven_matrix(spec: NetworkSpec) -> np.ndarray:
-    """Validate a spec and build W - i*diag(gamma)/2 of the undriven,
-    unloaded network."""
-    require_valid(spec)
+    """W - i*diag(gamma)/2 of the undriven, unloaded network."""
     return _frequency_matrix(spec) - 0.5j * np.diag(spec.intrinsic_decays)
 
 
@@ -72,10 +70,9 @@ def _load_term(delta_omega, gamma_load):
 
 
 def effective_matrix(spec: NetworkSpec, loaded: bool = True) -> np.ndarray:
-    """Validate a spec and build its steady-state matrix in one fresh
-    array: i(omega_d - w_nn) - gamma_n/2 on the diagonal, -i*w_nm off it,
-    and the load term h_L added at [L, L] when `loaded`."""
-    require_valid(spec)
+    """The steady-state matrix of a spec in one fresh array:
+    i(omega_d - w_nn) - gamma_n/2 on the diagonal, -i*w_nm off it, and the
+    load term h_L added at [L, L] when `loaded`."""
     matrix = spec.couplings * -1j
     diagonal = 1j * (spec.drive.omega_d - spec.node_frequencies) - spec.intrinsic_decays / 2.0
     np.fill_diagonal(matrix, diagonal)

@@ -1,7 +1,8 @@
-"""The one-entry memos behind require_valid and the load-free resolvent
-pair: how often each route validates and factors, that a memoised result
-is bitwise the fresh one, that neither memo keeps a spec alive or forgets
-a failure, and that the oracles never read the resolvent memo."""
+"""The one-entry memo behind the load-free resolvent pair and the check a
+spec gets when it is built: how often each route validates and factors,
+that a memoised result is bitwise the fresh one, that the memo neither
+keeps a spec alive nor remembers a failure, that an invalid copy raises
+where it is made, and that the oracles never read the memo."""
 import dataclasses
 import gc
 import weakref
@@ -23,8 +24,7 @@ TWO_NODE = str(Path(__file__).resolve().parent.parent / "configs" / "two_node.js
 
 
 @pytest.fixture(autouse=True)
-def empty_memos(monkeypatch):
-    monkeypatch.setattr(qnet.network, "_last_valid", None)
+def empty_memo(monkeypatch):
     monkeypatch.setattr(qnet.thevenin, "_last_resolvent", None)
 
 
@@ -57,7 +57,8 @@ def fresh(spec):
 class TestCounts:
     def test_design_study(self, counts):
         # solve, reduce, match, solve at the match: the reduction and the
-        # match share one check and one factorization
+        # match share one factorization, and only the with_load probe is
+        # checked, when it is built
         for n in (2, 10, 50):
             spec = fresh(make_random_network(n, 0))
             before = dict(counts)
@@ -67,10 +68,12 @@ class TestCounts:
             probe = spec.with_load(delta_omega=matched.delta_omega, gamma_load=matched.gamma_load)
             qnet.power_report(probe, qnet.solve_amplitudes(probe))
             assert counts["lu"] - before["lu"] == 3
-            assert counts["validate"] - before["validate"] == 2
+            assert counts["validate"] - before["validate"] == 1
 
     def test_grid_check(self, counts):
-        qnet.grid_check(fresh(two_node_resonant()), n_points=20)
+        spec = two_node_resonant()
+        assert counts == {"validate": 1, "lu": 0}
+        qnet.grid_check(spec, n_points=20)
         assert counts == {"validate": 1, "lu": 1}
 
     def test_cold_match_with_grid_check(self, counts, capsys):
@@ -83,11 +86,25 @@ class TestCounts:
         assert counts == {"validate": 1, "lu": 1}
 
     def test_with_load_copy_is_a_miss(self, counts):
-        spec = fresh(make_random_network(5, 1))
+        spec = make_random_network(5, 1)
         counts.update(validate=0, lu=0)
         qnet.thevenin_equivalent(spec)
         qnet.thevenin_equivalent(spec.with_load(gamma_load=2.0))
-        assert counts == {"validate": 2, "lu": 2}
+        assert counts == {"validate": 1, "lu": 2}
+
+    def test_routes_never_check_an_existing_spec(self, counts):
+        spec = two_node_resonant().with_load(gamma_load=1.0)
+        counts.update(validate=0)
+        qnet.solve_amplitudes(spec)
+        qnet.thevenin_equivalent(spec)
+        qnet.matched_load(spec)
+        qnet.load_sweep(spec, [0.5, 1.0])
+        qnet.grid_check(spec, n_points=20)
+        qnet.thevenin_by_elimination(spec)
+        qnet.time_domain_steady_state(spec)
+        qnet.load_power_map(spec, [0.0], [1.0])
+        qnet.oracle_report(spec, n_max=2)
+        assert counts["validate"] == 0
 
 
 class TestMemoisedEqualsFresh:
@@ -123,20 +140,28 @@ class TestLifetime:
         del spec
         gc.collect()
         assert alive() is None
-        assert qnet.network._last_valid() is None
         assert qnet.thevenin._last_resolvent[0]() is None
 
-    def test_invalid_spec_raises_every_time(self):
-        valid = two_node_resonant()
-        invalid = dataclasses.replace(valid, intrinsic_decays=np.array([1.3, -0.5]))
-        for _ in range(3):
-            qnet.network.require_valid(valid)
-            qnet.thevenin_equivalent(valid)
-            with pytest.raises(ValidationError, match="intrinsic decay must be >= 0"):
-                qnet.network.require_valid(invalid)
-            with pytest.raises(ValidationError, match="intrinsic decay must be >= 0"):
-                qnet.thevenin_equivalent(invalid)
-            assert qnet.network._last_valid() is valid
+    def test_invalid_copy_raises_where_it_is_made(self):
+        spec = two_node_resonant()
+        qnet.thevenin_equivalent(spec)
+        copies = {
+            "load decay must be >= 0": lambda: spec.with_load(gamma_load=-1.0),
+            "load delta_omega must be finite": lambda: spec.with_load(delta_omega=np.nan),
+            "drive frequency must be positive": lambda: spec.with_drive(omega_d=0.0),
+            "couplings not symmetric": lambda: dataclasses.replace(
+                spec, couplings=np.array([[0.0, 2.0], [2.1, 0.0]])
+            ),
+            "intrinsic decay must be >= 0": lambda: dataclasses.replace(
+                spec, intrinsic_decays=np.array([1.3, -0.5])
+            ),
+        }
+        for _ in range(2):
+            for message, copy in copies.items():
+                with pytest.raises(ValidationError, match=message):
+                    copy()
+        # the memo still holds the valid spec's pair
+        assert qnet.thevenin._last_resolvent[0]() is spec
 
     def test_dark_node_is_not_remembered(self):
         # a lossless resonant first node makes the load-node resolvent vanish

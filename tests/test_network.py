@@ -98,28 +98,67 @@ class TestValidate:
     def test_valid_spec_is_clean(self):
         assert qnet.validate(self._spec()) == []
 
+    # an invalid spec cannot be built: construction raises every error
+    # joined by "; ", so a message without "; " holds exactly one
+
     def test_asymmetric_couplings(self):
-        spec = self._spec(couplings=np.array([[0.0, 2.0], [2.1, 0.0]]))
-        errors = [v for v in qnet.validate(spec) if v.severity == "error"]
-        assert len(errors) == 1
-        assert "symmetric" in errors[0].message
+        with pytest.raises(ValidationError, match="symmetric") as err:
+            self._spec(couplings=np.array([[0.0, 2.0], [2.1, 0.0]]))
+        assert "; " not in str(err.value)
 
     def test_negative_decay(self):
-        spec = self._spec(intrinsic_decays=np.array([-1.0, 1.0]))
-        errors = [v for v in qnet.validate(spec) if v.severity == "error"]
-        assert len(errors) == 1
-        assert "gamma[0]" in errors[0].message
+        with pytest.raises(ValidationError, match=r"gamma\[0\]") as err:
+            self._spec(intrinsic_decays=np.array([-1.0, 1.0]))
+        assert "; " not in str(err.value)
 
     def test_nonzero_diagonal(self):
-        spec = self._spec(couplings=np.array([[1.0, 2.0], [2.0, 0.0]]))
-        errors = [v for v in qnet.validate(spec) if v.severity == "error"]
-        assert any("diagonal" in e.message for e in errors)
+        with pytest.raises(ValidationError, match="diagonal"):
+            self._spec(couplings=np.array([[1.0, 2.0], [2.0, 0.0]]))
 
     def test_bad_indices(self):
-        spec = self._spec(drive=qnet.DriveSpec(node=5, omega_d=1000.0, rabi=0.1))
-        assert any("drive node" in v.message for v in qnet.validate(spec))
-        spec = self._spec(load=qnet.LoadSpec(node=-1, gamma_load=1.0))
-        assert any("load node" in v.message for v in qnet.validate(spec))
+        with pytest.raises(ValidationError, match="drive node"):
+            self._spec(drive=qnet.DriveSpec(node=5, omega_d=1000.0, rabi=0.1))
+        with pytest.raises(ValidationError, match="load node"):
+            self._spec(load=qnet.LoadSpec(node=-1, gamma_load=1.0))
+
+    @pytest.mark.parametrize(
+        "node", [0.5, 1.0, True, np.float64(1.0), "1"],
+        ids=["half", "float-one", "true", "numpy-float", "string"],
+    )
+    @pytest.mark.parametrize("role", ["drive", "load"])
+    def test_non_integer_node_rejected(self, role, node):
+        # True would index node 1 and 0.5 would pass the range check
+        field = (
+            qnet.DriveSpec(node=node, omega_d=1000.0, rabi=0.1)
+            if role == "drive"
+            else qnet.LoadSpec(node=node, gamma_load=1.0)
+        )
+        with pytest.raises(ValidationError, match=f"{role} node must be an integer"):
+            self._spec(**{role: field})
+
+    def test_numpy_integer_node_accepted(self):
+        spec = self._spec(load=qnet.LoadSpec(node=np.int64(1), gamma_load=1.0))
+        assert qnet.solve_amplitudes(spec).amplitudes.shape == (2,)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("couplings", np.array([[0, 2 + 1j], [2 - 1j, 0]]), "couplings must be real numbers"),
+            ("couplings", np.array([[0, 2 + 0j], [2 + 0j, 0]]), "couplings must be real numbers"),
+            ("node_frequencies", ["a", "b"], "node_frequencies must be real numbers"),
+            ("intrinsic_decays", [1.0, None], "intrinsic_decays must be real numbers"),
+            ("couplings", [[0.0, 2.0], [2.0]], "couplings must be a rectangular array"),
+        ],
+        ids=["complex", "complex-real-valued", "strings", "none", "ragged"],
+    )
+    def test_array_of_wrong_type_rejected(self, field, value, message):
+        # a complex array is refused, not stored as its real part
+        with pytest.raises(ValidationError, match=message):
+            self._spec(**{field: value})
+
+    def test_scalar_frequencies_rejected(self):
+        with pytest.raises(ValidationError, match="shapes differ"):
+            self._spec(node_frequencies=1000.0)
 
     def test_weak_coupling_warning(self):
         spec = self._spec(node_frequencies=np.array([10.0, 10.0]))
