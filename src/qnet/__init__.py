@@ -21,7 +21,6 @@ from .network import (
     DriveSpec,
     LoadSpec,
     NetworkSpec,
-    Violation,
     build_chain,
     build_random_all_to_all,
     from_config_dict,

@@ -6,7 +6,6 @@ with hbar = 1, so powers carry units of (rate)^2.
 """
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import json
 import reprlib
@@ -20,7 +19,6 @@ __all__ = [
     "DriveSpec",
     "LoadSpec",
     "NetworkSpec",
-    "Violation",
     "validate",
     "build_chain",
     "build_random_all_to_all",
@@ -31,24 +29,81 @@ __all__ = [
 ]
 
 
+def _node(role, node) -> int:
+    """node as a Python int; True is not node 1, nor 0.5 a node."""
+    if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
+        raise ValidationError(f"{role} node must be an integer, got {node!r}")
+    return int(node)
+
+
+def _finite(name, values, kinds="iuf") -> np.ndarray:
+    """values, a scalar or a grid, as an array of finite numbers (0-d for a
+    scalar), or ValidationError naming the field.
+
+    The numpy dtype kind must be in `kinds`: real ints and floats by
+    default, "iufc" where complex numbers are allowed. That refuses bools,
+    strings, None, ragged grids and Python ints too large for 64 bits.
+    """
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # nested sequences of unequal lengths
+        raw = None
+    if raw is None or raw.dtype.kind not in kinds:
+        what = "a number" if "c" in kinds else "real"
+        raise ValidationError(f"{name} must be {what}, got {reprlib.repr(values)}")
+    arr = raw.astype(complex if raw.dtype.kind == "c" else float)
+    finite = np.isfinite(arr)
+    if np.count_nonzero(finite) < arr.size:  # cheaper than .all() on one value
+        raise ValidationError(f"{name} must be finite, got {arr[~finite][0].item()!r}")
+    return arr
+
+
+def _load_values(delta_omega, gamma_load):
+    """The rule for load values, on scalars or grids alike: real, finite
+    shifts and decays, every decay >= 0. Returns both as float arrays."""
+    delta_omega = _finite("load delta_omega", delta_omega)
+    gamma_load = _finite("load gamma_load", gamma_load)
+    negative = gamma_load < 0
+    if np.count_nonzero(negative):
+        raise ValidationError(f"load decay must be >= 0: {gamma_load[negative][0].item()!r}")
+    return delta_omega, gamma_load
+
+
 @dataclass(frozen=True)
 class DriveSpec:
-    """Coherent drive on a single node: angular frequency omega_d and
-    complex amplitude rabi."""
+    """Coherent drive on a single node: angular frequency omega_d > 0 and
+    complex amplitude rabi, stored as int, float and complex. A field that
+    breaks the rules of _node and _finite raises ValidationError."""
 
     node: int
     omega_d: float
     rabi: complex
 
+    def __post_init__(self):
+        object.__setattr__(self, "node", _node("drive", self.node))
+        omega_d = float(_finite("drive omega_d", self.omega_d))
+        if not omega_d > 0:
+            raise ValidationError(f"drive frequency must be positive, got {omega_d!r}")
+        object.__setattr__(self, "omega_d", omega_d)
+        object.__setattr__(self, "rabi", complex(_finite("drive rabi", self.rabi, "iufc")))
+
 
 @dataclass(frozen=True)
 class LoadSpec:
     """Dissipative load attached to a single node: induced frequency shift
-    delta_omega and outcoupling decay rate gamma_load."""
+    delta_omega and outcoupling decay rate gamma_load, stored as int and
+    floats. A field that breaks the rules of _node and _load_values raises
+    ValidationError."""
 
     node: int
     delta_omega: float = 0.0
     gamma_load: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "node", _node("load", self.node))
+        delta_omega, gamma_load = _load_values(self.delta_omega, self.gamma_load)
+        object.__setattr__(self, "delta_omega", float(delta_omega))
+        object.__setattr__(self, "gamma_load", float(gamma_load))
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +111,9 @@ class NetworkSpec:
     """Immutable description of a driven, lossy coupling network.
 
     A spec is validated when it is built: construction, with_load,
-    with_drive and dataclasses.replace raise ValidationError on an
-    error-severity violation, so every spec that exists is valid.
+    with_drive and dataclasses.replace raise ValidationError, so every
+    spec that exists is valid. DriveSpec and LoadSpec check their own
+    fields; the spec adds the checks that need its arrays (validate).
 
     Specs must not be mutated. The load-free factorization is memoised by
     object identity (thevenin._resolvent_pair), so a spec changed in place,
@@ -92,9 +148,7 @@ class NetworkSpec:
             arr = np.array(raw, dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        problems = [v.message for v in validate(self) if v.severity == "error"]
-        if problems:
-            raise ValidationError("; ".join(problems))
+        validate(self)
 
     @property
     def n_nodes(self) -> int:
@@ -119,97 +173,53 @@ class NetworkSpec:
         return dataclasses.replace(self, drive=drive)
 
 
-@dataclass(frozen=True)
-class Violation:
-    severity: str  # "error" or "warning"
-    message: str
+def validate(spec: NetworkSpec) -> None:
+    """Check the invariants of a NetworkSpec that need its arrays.
 
-
-def validate(spec: NetworkSpec) -> list[Violation]:
-    """Check a NetworkSpec against its invariants.
-
-    Returns an empty list when everything holds. Dimension, finiteness,
-    symmetry, sign and index problems are reported with severity "error"; the
-    weak-coupling plausibility check (rates not small against the node
-    frequencies) is reported as a "warning" only. NetworkSpec runs this
-    check when it is built and refuses errors, so on an existing spec the
-    list can hold only the warning.
+    Raises ValidationError with every problem joined by "; ": array shapes,
+    finiteness, symmetric couplings with zero diagonal, nonnegative decays,
+    and drive and load nodes inside [0, N). NetworkSpec runs this when it
+    is built, so it passes on every spec that exists.
     """
-    out = []
-    err = lambda msg: out.append(Violation("error", msg))
-
     omega = spec.node_frequencies
     gamma = spec.intrinsic_decays
     J = spec.couplings
     if omega.ndim != 1 or gamma.shape != omega.shape:
-        err(f"node_frequencies/intrinsic_decays shapes differ: {omega.shape} vs {gamma.shape}")
-        return out
+        raise ValidationError(
+            f"node_frequencies/intrinsic_decays shapes differ: {omega.shape} vs {gamma.shape}"
+        )
     n = len(omega)
     if n < 1:
-        err("network must contain at least one node")
-        return out
+        raise ValidationError("network must contain at least one node")
     if J.shape != (n, n):
-        err(f"couplings must be {n}x{n}, got {J.shape}")
-        return out
+        raise ValidationError(f"couplings must be {n}x{n}, got {J.shape}")
 
+    problems = []
     for name, arr in (("node_frequencies", omega), ("intrinsic_decays", gamma), ("couplings", J)):
         if not np.isfinite(arr).all():
             first = np.argwhere(~np.isfinite(arr))[0]
             at = ",".join(map(str, first))
-            err(f"{name} must be finite: {name}[{at}]={float(arr[tuple(first)])!r}")
-    for name, value in (
-        ("drive omega_d", spec.drive.omega_d),
-        ("drive rabi", spec.drive.rabi),
-        ("load delta_omega", spec.load.delta_omega),
-        ("load gamma_load", spec.load.gamma_load),
-    ):
-        if not cmath.isfinite(value):
-            err(f"{name} must be finite, got {value!r}")
-    if out:
+            problems.append(f"{name} must be finite: {name}[{at}]={float(arr[tuple(first)])!r}")
+    if problems:
         # the checks below compare and rank values, which NaN and Infinity defeat
-        return out
+        raise ValidationError("; ".join(problems))
 
     if not np.array_equal(J, J.T):
-        bad = np.argwhere(J != J.T)
-        i, j = bad[0]
-        err(f"couplings not symmetric: J[{i},{j}]={J[i, j]!r} != J[{j},{i}]={J[j, i]!r}")
+        i, j = np.argwhere(J != J.T)[0]
+        problems.append(
+            f"couplings not symmetric: J[{i},{j}]={J[i, j]!r} != J[{j},{i}]={J[j, i]!r}"
+        )
     if np.any(np.diag(J) != 0.0):
         i = int(np.nonzero(np.diag(J))[0][0])
-        err(f"couplings must have zero diagonal: J[{i},{i}]={J[i, i]!r}")
+        problems.append(f"couplings must have zero diagonal: J[{i},{i}]={J[i, i]!r}")
     if np.any(gamma < 0.0):
         i = int(np.argmin(gamma))
-        err(f"intrinsic decay must be >= 0: gamma[{i}]={gamma[i]!r}")
-
-    def check_node(name, node):
-        # the rule of from_config_dict: True is not node 1, nor 0.5 a node
-        if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
-            err(f"{name} node must be an integer, got {node!r}")
-        elif not 0 <= node < n:
-            err(f"{name} node {node} out of range [0, {n})")
-
-    check_node("drive", spec.drive.node)
-    if not spec.drive.omega_d > 0:
-        err(f"drive frequency must be positive, got {spec.drive.omega_d!r}")
-    check_node("load", spec.load.node)
-    if spec.load.gamma_load < 0:
-        err(f"load decay must be >= 0: {spec.load.gamma_load!r}")
-
-    # Born-Markov plausibility: rates should sit far below the node frequencies.
-    rate_scale = max(
-        float(np.abs(J).max(initial=0.0)),
-        float(gamma.max(initial=0.0)),
-        float(spec.load.gamma_load),
-    )
-    if rate_scale >= float(omega.min()) / 10.0:
-        out.append(
-            Violation(
-                "warning",
-                "couplings/decays are not small against the node frequencies "
-                f"(scale {rate_scale!r} vs min frequency {float(omega.min())!r}); "
-                "the weak-coupling model may be inaccurate",
-            )
-        )
-    return out
+        problems.append(f"intrinsic decay must be >= 0: gamma[{i}]={gamma[i]!r}")
+    for role, node in (("drive", spec.drive.node), ("load", spec.load.node)):
+        if not 0 <= node < n:
+            problems.append(f"{role} node {node} out of range [0, {n})")
+    if problems:
+        raise ValidationError("; ".join(problems))
 
 
 def build_chain(n_nodes, omega_0, j, gamma, drive: DriveSpec, load: LoadSpec) -> NetworkSpec:
@@ -279,17 +289,18 @@ def _get(mapping, key, kind, where):
         value = mapping[key]
     except (KeyError, TypeError):
         raise ValidationError(f"missing field '{key}' in {where}") from None
-    # int() would read true as 1 and truncate 1.5 to 1; indices must be exact
-    if kind is int and (
-        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    # int() would read true as 1 and truncate 1.5 to 1, float() true as 1.0;
+    # indices must be exact and no field is a switch
+    if not isinstance(value, bool) and not (
+        kind is int and isinstance(value, float) and not value.is_integer()
     ):
-        raise ValidationError(f"field '{key}' in {where} must be int, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"field '{key}' in {where} must be {kind.__name__}, got {reprlib.repr(value)}"
-        ) from None
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(
+        f"field '{key}' in {where} must be {kind.__name__}, got {reprlib.repr(value)}"
+    )
 
 
 def from_config_dict(data: dict) -> NetworkSpec:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
-from .network import LoadSpec, NetworkSpec
+from .network import LoadSpec, NetworkSpec, _load_values
 from .steady import (
     RESIDUAL_RTOL, _Factorization, _load_term, _residual_bound, drive_vector, effective_matrix,
 )
@@ -200,21 +200,6 @@ def matched_load(spec: NetworkSpec) -> MatchedLoad:
     )
 
 
-def _load_grid(delta_values, gamma_values):
-    """Load-parameter grids as float arrays, checked in validate's words:
-    every value finite and every decay >= 0."""
-    delta_values = np.asarray(delta_values, dtype=float)
-    gamma_values = np.asarray(gamma_values, dtype=float)
-    for name, values in (("delta_omega", delta_values), ("gamma_load", gamma_values)):
-        bad = values[~np.isfinite(values)]
-        if bad.size:
-            raise ValidationError(f"load {name} must be finite, got {float(bad[0])!r}")
-    bad = gamma_values[gamma_values < 0]
-    if bad.size:
-        raise ValidationError(f"load decay must be >= 0: {float(bad[0])!r}")
-    return delta_values, gamma_values
-
-
 def load_sweep(spec, gamma_values) -> np.ndarray:
     """Delivered power and efficiency over a grid of load decay rates.
 
@@ -234,7 +219,7 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
     is nan where no power flows. Per-point solve_amplitudes and
     power_report are the independent check of this route.
     """
-    _, gamma_values = _load_grid((), gamma_values)
+    _, gamma_values = _load_values((), gamma_values)
     x, y = _resolvent_pair(spec)
     # H is rebuilt, not kept beside x and y: an N x N copy per memo entry
     # would cost more memory than the build costs time
@@ -291,7 +276,7 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     same whichever thread makes it, so the map does not depend on the
     split; when chunks fail, the first failing one in grid order raises.
     """
-    delta_values, gamma_values = _load_grid(delta_values, gamma_values)
+    delta_values, gamma_values = _load_values(delta_values, gamma_values)
     base = effective_matrix(spec, loaded=False)
     rhs = 1j * drive_vector(spec)
     load = spec.load.node

@@ -15,6 +15,7 @@ def test_module_all_lists_match_package():
         "efficiency",
         "spectral_density_sweep",
         "UndefinedEfficiency",
+        "Violation",
     )
     assert [name for name in deleted if hasattr(qnet, name)] == []
 

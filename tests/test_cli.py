@@ -172,6 +172,13 @@ class TestSolve:
         code, out, err = run_quietly(capsys, "solve", "--config", str(path))
         assert (code, out) == (2, "")
         assert err == "qnet: input error: 'edges' must be a list, got None\n"
+        # JSON true is no more a number in a float field than in an index
+        data["edges"] = []
+        data["load"]["gamma_load"] = True
+        path.write_text(json.dumps(data))
+        code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "qnet: input error: field 'gamma_load' in load must be float, got True\n"
 
     @pytest.mark.parametrize(
         "command,key,value",

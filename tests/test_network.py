@@ -96,7 +96,7 @@ class TestValidate:
         return qnet.NetworkSpec(**fields)
 
     def test_valid_spec_is_clean(self):
-        assert qnet.validate(self._spec()) == []
+        assert qnet.validate(self._spec()) is None
 
     # an invalid spec cannot be built: construction raises every error
     # joined by "; ", so a message without "; " holds exactly one
@@ -128,13 +128,11 @@ class TestValidate:
     @pytest.mark.parametrize("role", ["drive", "load"])
     def test_non_integer_node_rejected(self, role, node):
         # True would index node 1 and 0.5 would pass the range check
-        field = (
-            qnet.DriveSpec(node=node, omega_d=1000.0, rabi=0.1)
-            if role == "drive"
-            else qnet.LoadSpec(node=node, gamma_load=1.0)
-        )
         with pytest.raises(ValidationError, match=f"{role} node must be an integer"):
-            self._spec(**{role: field})
+            if role == "drive":
+                qnet.DriveSpec(node=node, omega_d=1000.0, rabi=0.1)
+            else:
+                qnet.LoadSpec(node=node, gamma_load=1.0)
 
     def test_numpy_integer_node_accepted(self):
         spec = self._spec(load=qnet.LoadSpec(node=np.int64(1), gamma_load=1.0))
@@ -160,12 +158,42 @@ class TestValidate:
         with pytest.raises(ValidationError, match="shapes differ"):
             self._spec(node_frequencies=1000.0)
 
-    def test_weak_coupling_warning(self):
-        spec = self._spec(node_frequencies=np.array([10.0, 10.0]))
-        violations = qnet.validate(spec)
-        assert [v.severity for v in violations] == ["warning"]
-        # far-detuned rates stay silent
-        assert qnet.validate(self._spec()) == []
+
+class TestScalarFields:
+    """DriveSpec and LoadSpec check and normalise their own fields."""
+
+    @pytest.mark.parametrize(
+        "kind,field,value,message",
+        [
+            ("load", "delta_omega", 1j, "load delta_omega must be real, got 1j"),
+            ("load", "gamma_load", 1 + 0j, r"load gamma_load must be real, got \(1\+0j\)"),
+            ("drive", "omega_d", 1000j, "drive omega_d must be real, got 1000j"),
+            ("drive", "omega_d", "1000", "drive omega_d must be real, got '1000'"),
+            ("load", "gamma_load", None, "load gamma_load must be real, got None"),
+            ("load", "delta_omega", True, "load delta_omega must be real, got True"),
+            ("load", "gamma_load", np.bool_(True), "load gamma_load must be real"),
+            ("drive", "rabi", True, "drive rabi must be a number, got True"),
+            ("drive", "rabi", "0.1", "drive rabi must be a number"),
+            ("drive", "rabi", complex(np.nan, 0.0), r"drive rabi must be finite, got \(nan\+0j\)"),
+            ("drive", "rabi", complex(0.1, np.inf), r"drive rabi must be finite, got \(0\.1\+infj\)"),
+            pytest.param("drive", "omega_d", 10**400, "drive omega_d must be real, got 1000", id="huge-int"),
+        ],
+    )
+    def test_bad_value_rejected_naming_the_field(self, kind, field, value, message):
+        fields = (
+            dict(node=0, omega_d=1000.0, rabi=0.1) if kind == "drive" else dict(node=1, gamma_load=1.0)
+        )
+        fields[field] = value
+        with pytest.raises(ValidationError, match=message):
+            qnet.DriveSpec(**fields) if kind == "drive" else qnet.LoadSpec(**fields)
+
+    def test_numpy_scalars_become_python_numbers(self):
+        drive = qnet.DriveSpec(node=np.int64(0), omega_d=np.float32(1000.5), rabi=np.complex64(0.5j))
+        load = qnet.LoadSpec(node=np.uint8(1), delta_omega=np.int32(-2), gamma_load=np.float64(1.5))
+        assert (type(drive.node), type(drive.omega_d), type(drive.rabi)) == (int, float, complex)
+        assert (type(load.node), type(load.delta_omega), type(load.gamma_load)) == (int, float, float)
+        assert (drive.node, drive.omega_d, drive.rabi) == (0, 1000.5, 0.5j)
+        assert (load.node, load.delta_omega, load.gamma_load) == (1, -2.0, 1.5)
 
 
 class TestConfigIO:

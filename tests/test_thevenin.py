@@ -286,12 +286,20 @@ class TestGridOracle:
             (0.0, np.inf, "load gamma_load must be finite, got inf"),
             (0.0, -np.inf, "load gamma_load must be finite, got -inf"),
             (0.0, -1.0, "load decay must be >= 0: -1.0"),
+            (1j, 1.0, "load delta_omega must be real"),
+            (0.0, 1 + 0j, "load gamma_load must be real"),
+            (0.0, "1.5", "load gamma_load must be real"),
+            (0.0, None, "load gamma_load must be real"),
+            (0.0, [1.0], "load gamma_load must be real"),  # a ragged grid
         ],
     )
     def test_map_rejects_load_values_outside_the_domain(self, delta, gamma, message):
         spec = make_random_network(2, 17)
         with pytest.raises(ValidationError, match=message):
             qnet.load_power_map(spec, [0.5, delta], [1.0, gamma])
+        if delta == 0.0:  # load_sweep takes decays only, under the same rule
+            with pytest.raises(ValidationError, match=message):
+                qnet.load_sweep(spec, [1.0, gamma])
 
     def test_map_overflowing_decay_is_singular_without_warnings(self):
         spec = make_random_network(2, 17)
