@@ -58,6 +58,13 @@ def _finite(name, values, kinds="iuf") -> np.ndarray:
     return arr
 
 
+def _scalar(name, arr):
+    """The one Python number in arr, a 0-d array from _finite."""
+    if arr.ndim:
+        raise ValidationError(f"{name} must be a single number, got an array of shape {arr.shape}")
+    return arr.item()
+
+
 def _load_values(delta_omega, gamma_load):
     """The rule for load values, on scalars or grids alike: real, finite
     shifts and decays, every decay >= 0. Returns both as float arrays."""
@@ -73,7 +80,7 @@ def _load_values(delta_omega, gamma_load):
 class DriveSpec:
     """Coherent drive on a single node: angular frequency omega_d > 0 and
     complex amplitude rabi, stored as int, float and complex. A field that
-    breaks the rules of _node and _finite raises ValidationError."""
+    breaks the rules of _node, _finite and _scalar raises ValidationError."""
 
     node: int
     omega_d: float
@@ -81,19 +88,20 @@ class DriveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "node", _node("drive", self.node))
-        omega_d = float(_finite("drive omega_d", self.omega_d))
+        omega_d = _scalar("drive omega_d", _finite("drive omega_d", self.omega_d))
         if not omega_d > 0:
             raise ValidationError(f"drive frequency must be positive, got {omega_d!r}")
         object.__setattr__(self, "omega_d", omega_d)
-        object.__setattr__(self, "rabi", complex(_finite("drive rabi", self.rabi, "iufc")))
+        rabi = _scalar("drive rabi", _finite("drive rabi", self.rabi, "iufc"))
+        object.__setattr__(self, "rabi", complex(rabi))
 
 
 @dataclass(frozen=True)
 class LoadSpec:
     """Dissipative load attached to a single node: induced frequency shift
     delta_omega and outcoupling decay rate gamma_load, stored as int and
-    floats. A field that breaks the rules of _node and _load_values raises
-    ValidationError."""
+    floats. A field that breaks the rules of _node, _load_values and
+    _scalar raises ValidationError."""
 
     node: int
     delta_omega: float = 0.0
@@ -102,8 +110,8 @@ class LoadSpec:
     def __post_init__(self):
         object.__setattr__(self, "node", _node("load", self.node))
         delta_omega, gamma_load = _load_values(self.delta_omega, self.gamma_load)
-        object.__setattr__(self, "delta_omega", float(delta_omega))
-        object.__setattr__(self, "gamma_load", float(gamma_load))
+        object.__setattr__(self, "delta_omega", _scalar("load delta_omega", delta_omega))
+        object.__setattr__(self, "gamma_load", _scalar("load gamma_load", gamma_load))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,12 +123,12 @@ class NetworkSpec:
     spec that exists is valid. DriveSpec and LoadSpec check their own
     fields; the spec adds the checks that need its arrays (validate).
 
-    Specs must not be mutated. The load-free factorization is memoised by
-    object identity (thevenin._resolvent_pair), so a spec changed in place,
-    say through object.__setattr__ or an array made writable again, would
-    be served results computed for its old values and would bypass
-    validation. Derive a changed network with with_load, with_drive or
-    dataclasses.replace instead.
+    Specs must not be mutated. A spec keeps its load-free resolvent pair
+    in _resolvent (thevenin._resolvent_pair), so one changed in place, say
+    through object.__setattr__ or an array made writable again, would be
+    served its old results and would bypass validation. Derive a changed
+    network with with_load, with_drive or dataclasses.replace; each copy
+    starts with no pair.
 
     Attributes
     ----------
@@ -136,6 +144,7 @@ class NetworkSpec:
     couplings: np.ndarray
     drive: DriveSpec
     load: LoadSpec
+    _resolvent: tuple | None = dataclasses.field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("node_frequencies", "intrinsic_decays", "couplings"):
@@ -143,7 +152,7 @@ class NetworkSpec:
                 raw = np.asarray(getattr(self, name))
             except ValueError:  # nested sequences of unequal lengths
                 raise ValidationError(f"{name} must be a rectangular array") from None
-            if raw.dtype.kind not in "biuf":  # bool, int or float; complex is refused, not cut
+            if raw.dtype.kind not in "iuf":  # int or float; complex is refused, not cut
                 raise ValidationError(f"{name} must be real numbers, got dtype {raw.dtype}")
             arr = np.array(raw, dtype=float)
             arr.setflags(write=False)
@@ -289,9 +298,9 @@ def _get(mapping, key, kind, where):
         value = mapping[key]
     except (KeyError, TypeError):
         raise ValidationError(f"missing field '{key}' in {where}") from None
-    # int() would read true as 1 and truncate 1.5 to 1, float() true as 1.0;
-    # indices must be exact and no field is a switch
-    if not isinstance(value, bool) and not (
+    # int() would read true as 1, "1" as 1 and truncate 1.5 to 1; indices
+    # must be exact, no field is a switch and numbers are JSON numbers
+    if not isinstance(value, (bool, str)) and not (
         kind is int and isinstance(value, float) and not value.is_integer()
     ):
         try:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +78,6 @@ class MatchedLoad:
     p_max: float
 
 
-# (weak reference to a spec, x, y) of the last successful _resolvent_pair.
-# Reduction, match and load sweep of one spec object follow one another, so
-# one entry lets them share one factorization without keeping a spec alive.
-_last_resolvent = None
-
-
 def _resolvent_pair(spec: NetworkSpec):
     """Solve H x = e_load and H y = drive vector from one LU factorization
     of the load-free matrix H.
@@ -92,15 +85,14 @@ def _resolvent_pair(spec: NetworkSpec):
     Returns read-only (x, y). Raises SingularNetwork when a pivot is
     exactly zero or the 1-norm condition estimate of H (LAPACK zgecon, or
     zgbcon when H is banded) exceeds COND_LIMIT, and DarkNode when the
-    load-node resolvent element vanishes. The pair of the last spec object
-    that succeeded is kept and returned again for that object; H does not
-    depend on the load, but a with_load copy is a new object and is
-    factored afresh. Only thevenin_equivalent, matched_load and load_sweep
-    read it; the oracles never do.
+    load-node resolvent element vanishes. Only a success is kept, in
+    spec._resolvent, and returned again for that object; H does not depend
+    on the load, but a with_load copy is a new object and is factored
+    afresh. Only thevenin_equivalent, matched_load and load_sweep read it;
+    the oracles never do.
     """
-    global _last_resolvent
-    if _last_resolvent is not None and _last_resolvent[0]() is spec:
-        return _last_resolvent[1:]
+    if spec._resolvent is not None:
+        return spec._resolvent
     matrix = effective_matrix(spec, loaded=False)
     n = spec.n_nodes
     load = spec.load.node
@@ -112,10 +104,8 @@ def _resolvent_pair(spec: NetworkSpec):
     x, y = sol.T
 
     if abs(x[load]) <= DARK_RTOL * np.abs(x).max():
-        raise DarkNode(
-            f"load node {load} is decoupled at drive frequency {spec.drive.omega_d!r}"
-        )
-    _last_resolvent = (weakref.ref(spec), x, y)
+        raise DarkNode(f"load node {load} is decoupled at drive frequency {spec.drive.omega_d!r}")
+    object.__setattr__(spec, "_resolvent", (x, y))
     return x, y
 
 
@@ -221,7 +211,7 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
     """
     _, gamma_values = _load_values((), gamma_values)
     x, y = _resolvent_pair(spec)
-    # H is rebuilt, not kept beside x and y: an N x N copy per memo entry
+    # H is rebuilt, not kept beside x and y: an N x N copy on every spec
     # would cost more memory than the build costs time
     matrix = effective_matrix(spec, loaded=False)
     load = spec.load.node

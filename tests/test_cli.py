@@ -179,6 +179,19 @@ class TestSolve:
         code, out, err = run_quietly(capsys, "solve", "--config", str(path))
         assert (code, out) == (2, "")
         assert err == "qnet: input error: field 'gamma_load' in load must be float, got True\n"
+        # nor is a number written as a JSON string
+        data["load"]["gamma_load"] = 1.0
+        for where, key, value, kind in (
+            ("nodes[0]", "omega", "1000", "float"),
+            ("load", "node", "1", "int"),
+            ("drive", "rabi_re", "0.1", "float"),
+        ):
+            bad = json.loads(json.dumps(data))
+            (bad["nodes"][0] if where == "nodes[0]" else bad[where])[key] = value
+            path.write_text(json.dumps(bad))
+            code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"qnet: input error: field '{key}' in {where} must be {kind}, got '{value}'\n"
 
     @pytest.mark.parametrize(
         "command,key,value",

@@ -1,11 +1,14 @@
-"""The one-entry memo behind the load-free resolvent pair and the check a
-spec gets when it is built: how often each route validates and factors,
-that a memoised result is bitwise the fresh one, that the memo neither
-keeps a spec alive nor remembers a failure, that an invalid copy raises
-where it is made, and that the oracles never read the memo."""
+"""The load-free resolvent pair a spec keeps and the check a spec gets
+when it is built: how often each route validates and factors, that a
+kept result is bitwise the fresh one, also with many threads, that the
+pair dies with its spec and is never kept for a failure, that an invalid
+copy raises where it is made, and that the oracles never read the pair."""
 import dataclasses
 import gc
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +24,6 @@ from qnet.errors import DarkNode, ValidationError
 from conftest import make_random_network, two_node_resonant
 
 TWO_NODE = str(Path(__file__).resolve().parent.parent / "configs" / "two_node.json")
-
-
-@pytest.fixture(autouse=True)
-def empty_memo(monkeypatch):
-    monkeypatch.setattr(qnet.thevenin, "_last_resolvent", None)
 
 
 @pytest.fixture
@@ -50,7 +48,7 @@ def counts(monkeypatch):
 
 
 def fresh(spec):
-    """An equal spec that no memo has seen."""
+    """An equal spec that keeps no resolvent pair yet."""
     return dataclasses.replace(spec)
 
 
@@ -92,6 +90,13 @@ class TestCounts:
         qnet.thevenin_equivalent(spec.with_load(gamma_load=2.0))
         assert counts == {"validate": 1, "lu": 2}
 
+    def test_interleaved_specs_keep_their_own_pairs(self, counts):
+        a, b = make_random_network(5, 1), make_random_network(6, 2)
+        counts.update(lu=0)
+        for spec in (a, b, a, b):
+            qnet.matched_load(spec)
+        assert counts["lu"] == 2
+
     def test_routes_never_check_an_existing_spec(self, counts):
         spec = two_node_resonant().with_load(gamma_load=1.0)
         counts.update(validate=0)
@@ -113,14 +118,13 @@ class TestMemoisedEqualsFresh:
         spec = make_random_network(n, seed)
         gammas = np.geomspace(0.05, 20.0, 9)
         routes = (qnet.thevenin_equivalent, qnet.matched_load, lambda s: qnet.load_sweep(s, gammas))
-        # the second and third calls on `spec` read the memo ...
+        # the second and third calls on `spec` read the pair it keeps ...
         memoised = [route(spec) for route in routes]
-        assert qnet.thevenin._last_resolvent[0]() is spec
+        assert spec._resolvent is not None
         # ... and each call on a copy factors afresh
-        fresh_results = []
-        for route in routes:
-            qnet.thevenin._last_resolvent = None
-            fresh_results.append(route(fresh(spec)))
+        copies = [fresh(spec) for _ in routes]
+        assert all(copy._resolvent is None for copy in copies)
+        fresh_results = [route(copy) for route, copy in zip(routes, copies)]
         assert memoised[0] == fresh_results[0]
         assert memoised[1] == fresh_results[1]
         assert memoised[2].tobytes() == fresh_results[2].tobytes()
@@ -131,20 +135,42 @@ class TestMemoisedEqualsFresh:
         assert not x.flags.writeable and not y.flags.writeable
         assert qnet.thevenin._resolvent_pair(spec)[0] is x
 
+    def test_threads_each_get_their_own_specs_pair(self):
+        # single-node specs keep each factorization short; with them a pair
+        # shared by all threads was swapped inside a call in every run
+        specs = [make_random_network(1, seed) for seed in range(8)]
+        expected = [qnet.thevenin_equivalent(fresh(spec)) for spec in specs]
+        start = threading.Barrier(len(specs))
+
+        def wrong_results(k):
+            start.wait()
+            return sum(qnet.thevenin_equivalent(specs[k]) != expected[k] for _ in range(1000))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(len(specs)) as pool:
+                wrong = list(pool.map(wrong_results, range(len(specs))))
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [0] * len(specs)
+
 
 class TestLifetime:
     def test_memos_do_not_keep_a_spec_alive(self):
         spec = fresh(make_random_network(10, 2))
         qnet.load_sweep(spec, [0.5, 1.0])
         alive = weakref.ref(spec)
+        pair_alive = weakref.ref(spec._resolvent[0])
         del spec
         gc.collect()
         assert alive() is None
-        assert qnet.thevenin._last_resolvent[0]() is None
+        assert pair_alive() is None
 
     def test_invalid_copy_raises_where_it_is_made(self):
         spec = two_node_resonant()
         qnet.thevenin_equivalent(spec)
+        pair = spec._resolvent
         copies = {
             "load decay must be >= 0": lambda: spec.with_load(gamma_load=-1.0),
             "load delta_omega must be finite": lambda: spec.with_load(delta_omega=np.nan),
@@ -160,18 +186,20 @@ class TestLifetime:
             for message, copy in copies.items():
                 with pytest.raises(ValidationError, match=message):
                     copy()
-        # the memo still holds the valid spec's pair
-        assert qnet.thevenin._last_resolvent[0]() is spec
+        # the valid spec still holds its pair
+        assert spec._resolvent is pair
 
     def test_dark_node_is_not_remembered(self):
         # a lossless resonant first node makes the load-node resolvent vanish
         dark = dataclasses.replace(two_node_resonant(), intrinsic_decays=np.array([0.0, 0.7]))
         lit = two_node_resonant()
         qnet.thevenin_equivalent(lit)
+        pair = lit._resolvent
         for _ in range(2):
             with pytest.raises(DarkNode):
                 qnet.thevenin_equivalent(dark)
-            assert qnet.thevenin._last_resolvent[0]() is lit
+            assert dark._resolvent is None
+            assert lit._resolvent is pair
 
 
 class TestOraclesIgnoreTheMemo:
@@ -179,7 +207,7 @@ class TestOraclesIgnoreTheMemo:
         spec = make_random_network(5, 4)
         truth = qnet.thevenin_equivalent(spec)
         x, y = qnet.thevenin._resolvent_pair(spec)
-        qnet.thevenin._last_resolvent = (weakref.ref(spec), 2.0 * x, 2.0 * y)
+        object.__setattr__(spec, "_resolvent", (2.0 * x, 2.0 * y))
         # the fast route reads the poisoned pair ...
         assert qnet.thevenin_equivalent(spec).h_th == pytest.approx(truth.h_th / 2.0, rel=1e-12)
         # ... and no oracle does

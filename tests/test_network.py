@@ -146,8 +146,9 @@ class TestValidate:
             ("node_frequencies", ["a", "b"], "node_frequencies must be real numbers"),
             ("intrinsic_decays", [1.0, None], "intrinsic_decays must be real numbers"),
             ("couplings", [[0.0, 2.0], [2.0]], "couplings must be a rectangular array"),
+            ("node_frequencies", [True, True], "node_frequencies must be real numbers, got dtype bool"),
         ],
-        ids=["complex", "complex-real-valued", "strings", "none", "ragged"],
+        ids=["complex", "complex-real-valued", "strings", "none", "ragged", "bool"],
     )
     def test_array_of_wrong_type_rejected(self, field, value, message):
         # a complex array is refused, not stored as its real part
@@ -177,6 +178,10 @@ class TestScalarFields:
             ("drive", "rabi", complex(np.nan, 0.0), r"drive rabi must be finite, got \(nan\+0j\)"),
             ("drive", "rabi", complex(0.1, np.inf), r"drive rabi must be finite, got \(0\.1\+infj\)"),
             pytest.param("drive", "omega_d", 10**400, "drive omega_d must be real, got 1000", id="huge-int"),
+            ("load", "gamma_load", [1.0], r"load gamma_load must be a single number, got an array of shape \(1,\)"),
+            ("load", "delta_omega", [1, 2], "load delta_omega must be a single number"),
+            ("drive", "omega_d", [1.0], "drive omega_d must be a single number"),
+            ("drive", "rabi", [0.1, 0.2], "drive rabi must be a single number"),
         ],
     )
     def test_bad_value_rejected_naming_the_field(self, kind, field, value, message):

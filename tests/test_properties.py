@@ -5,13 +5,17 @@ passive, a matched load takes at most half the power, gamma_th equals its
 loss-weighted identity, the steady state balances input against dissipated
 power, and configs survive a round trip. A config fuzzer checks that the
 CLI answers every mutated config with a documented exit code and strict
-JSON."""
+JSON, and a failing property is reported under this project's pytest
+settings."""
 import contextlib
 import copy
 import dataclasses
 import io
 import json
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -224,3 +228,29 @@ def test_mutated_config_gets_a_documented_answer(path, value):
                 strict_json(out.getvalue())
             else:
                 assert out.getvalue() == "" and err.getvalue().startswith("qnet: ")
+
+
+def test_a_failing_property_is_reported_and_the_session_goes_on(tmp_path):
+    # Hypothesis's failure report imports libcst, whose import warns; under
+    # filterwarnings = error that warning must not abort the session
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 10
+
+        def test_runs_after_it():
+            pass
+    """))
+    settings_file = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(settings_file), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
