@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, QnetError, UnphysicalMatch, ValidationError
+from .lindblad import oracle_report
 from .network import DriveSpec, LoadSpec, build_chain, build_random_all_to_all, load_config, save_config
 from .power import power_report
 from .steady import solve_amplitudes, spectral_density_grid
@@ -186,8 +187,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .lindblad import oracle_report  # scipy.sparse loads only for this command
-
     spec = load_config(args.config)
     _emit(_json(oracle_report(spec, args.n_max)), args.out)
     return 0

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
+# scipy.sparse is imported inside the functions that use it, so that
+# `import qnet` and the commands that build no generator start without it.
 
 from .errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
-from .network import NetworkSpec
+from .network import NetworkSpec, _integer
 from .power import general_power_from_correlators, input_power, load_power, radiated_power
 from .steady import SteadyState, solve_amplitudes
 
@@ -42,12 +42,15 @@ DIM_CAP = 4096
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Per-node occupation cutoff and node count for the truncated space."""
+    """Per-node occupation cutoff and node count for the truncated space,
+    both integers."""
 
     n_max: int
     nodes: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_max", _integer("n_max", self.n_max))
+        object.__setattr__(self, "nodes", _integer("nodes", self.nodes))
         if self.n_max < 1:
             raise ValidationError(f"n_max must be >= 1, got {self.n_max}")
         if self.nodes < 1:
@@ -78,6 +81,8 @@ class DensityState:
 
 def _annihilators(cfg: FockConfig):
     """Sparse annihilation operator for each node on the product space."""
+    import scipy.sparse as sp
+
     d = cfg.n_max + 1
     single = sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr")
     ops = []
@@ -89,6 +94,8 @@ def _annihilators(cfg: FockConfig):
 
 
 def _hamiltonian(spec: NetworkSpec, cfg: FockConfig, ops):
+    import scipy.sparse as sp
+
     dim = cfg.dim
     h = sp.csr_matrix((dim, dim), dtype=complex)
     for k, a_k in enumerate(ops):
@@ -110,6 +117,8 @@ def build_liouvillian(spec: NetworkSpec, cfg: FockConfig):
     """Vectorized generator of the dissipative dynamics (sparse, column
     stacking convention: d vec(rho)/dt = L vec(rho)). Raises
     SingularNetwork when an entry overflows double precision."""
+    import scipy.sparse as sp
+
     if cfg.nodes != spec.n_nodes:
         raise ValidationError(
             f"FockConfig is for {cfg.nodes} nodes but the network has {spec.n_nodes}"
@@ -145,6 +154,9 @@ def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
     must also satisfy the unmodified generator to a relative residual of
     1e-9 before its density-matrix invariants are checked.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg
+
     dim = cfg.dim
     size = dim * dim
     if liouvillian.shape != (size, size):

@@ -29,11 +29,12 @@ __all__ = [
 ]
 
 
-def _node(role, node) -> int:
-    """node as a Python int; True is not node 1, nor 0.5 a node."""
-    if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
-        raise ValidationError(f"{role} node must be an integer, got {node!r}")
-    return int(node)
+def _integer(name, value) -> int:
+    """value as a Python int, or ValidationError naming the argument; True
+    is not 1, nor 0.5 a node index or a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _finite(name, values, kinds="iuf") -> np.ndarray:
@@ -65,6 +66,14 @@ def _scalar(name, arr):
     return arr.item()
 
 
+def _grid(name, arr):
+    """arr, a 0-d or 1-D array from _finite, as a 1-D grid: a scalar is one
+    point."""
+    if arr.ndim > 1:
+        raise ValidationError(f"{name} must be a number or a 1-D grid, got an array of shape {arr.shape}")
+    return arr.reshape(-1)
+
+
 def _load_values(delta_omega, gamma_load):
     """The rule for load values, on scalars or grids alike: real, finite
     shifts and decays, every decay >= 0. Returns both as float arrays."""
@@ -80,14 +89,14 @@ def _load_values(delta_omega, gamma_load):
 class DriveSpec:
     """Coherent drive on a single node: angular frequency omega_d > 0 and
     complex amplitude rabi, stored as int, float and complex. A field that
-    breaks the rules of _node, _finite and _scalar raises ValidationError."""
+    breaks the rules of _integer, _finite and _scalar raises ValidationError."""
 
     node: int
     omega_d: float
     rabi: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "node", _node("drive", self.node))
+        object.__setattr__(self, "node", _integer("drive node", self.node))
         omega_d = _scalar("drive omega_d", _finite("drive omega_d", self.omega_d))
         if not omega_d > 0:
             raise ValidationError(f"drive frequency must be positive, got {omega_d!r}")
@@ -100,7 +109,7 @@ class DriveSpec:
 class LoadSpec:
     """Dissipative load attached to a single node: induced frequency shift
     delta_omega and outcoupling decay rate gamma_load, stored as int and
-    floats. A field that breaks the rules of _node, _load_values and
+    floats. A field that breaks the rules of _integer, _load_values and
     _scalar raises ValidationError."""
 
     node: int
@@ -108,7 +117,7 @@ class LoadSpec:
     gamma_load: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "node", _node("load", self.node))
+        object.__setattr__(self, "node", _integer("load node", self.node))
         delta_omega, gamma_load = _load_values(self.delta_omega, self.gamma_load)
         object.__setattr__(self, "delta_omega", _scalar("load delta_omega", delta_omega))
         object.__setattr__(self, "gamma_load", _scalar("load gamma_load", gamma_load))
@@ -238,6 +247,7 @@ def build_chain(n_nodes, omega_0, j, gamma, drive: DriveSpec, load: LoadSpec) ->
     coupled with strength j. A single node has no neighbours and therefore a
     zero coupling matrix.
     """
+    n_nodes = _integer("n_nodes", n_nodes)
     if n_nodes < 1:
         raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
     couplings = np.zeros((n_nodes, n_nodes))
@@ -263,10 +273,12 @@ def build_random_all_to_all(
     a generator seeded with `seed`, so identical arguments reproduce the
     identical spec bit for bit. Negative draws are kept.
     """
+    n_nodes = _integer("n_nodes", n_nodes)
     if n_nodes < 1:
         raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
     if j_std < 0:
         raise ValidationError(f"j_std must be >= 0, got {j_std}")
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, SingularNetwork, ValidationError
-from .network import NetworkSpec
+from .network import NetworkSpec, _finite, _grid, _scalar
 
 __all__ = [
     "SteadyState",
@@ -218,8 +218,9 @@ def spectral_density(spec: NetworkSpec, omega: float) -> float:
 
     S(omega) = -Im tr (omega*I - M)^(-1) with M = W - i*diag(gamma)/2.
     Nonnegative for strictly lossy networks; a sum of Lorentzian peaks at
-    the network eigenfrequencies.
+    the network eigenfrequencies. omega must be one finite real number.
     """
+    omega = _scalar("omega", _finite("omega", omega))
     a = omega * np.eye(spec.n_nodes) - _undriven_matrix(spec)
     try:
         value = -np.imag(np.trace(np.linalg.inv(a)))
@@ -231,7 +232,8 @@ def spectral_density(spec: NetworkSpec, omega: float) -> float:
 
 
 def spectral_density_grid(spec, grid) -> np.ndarray:
-    """Spectral density at each frequency of an arbitrary grid.
+    """Spectral density at each frequency of an arbitrary grid: a finite
+    real number (one point) or a 1-D grid of them.
 
     The trace of the resolvent of any square matrix is
     sum_k 1 / (omega - lambda_k) over its eigenvalues, so one eigvals call
@@ -254,7 +256,7 @@ def spectral_density_grid(spec, grid) -> np.ndarray:
         eigs = np.linalg.eigvals(matrix - center * np.eye(spec.n_nodes))
     except np.linalg.LinAlgError as exc:
         raise SingularNetwork(str(exc)) from None
-    shifted = np.asarray(grid, dtype=float) - center
+    shifted = _grid("grid", _finite("grid", grid)) - center
     values = np.zeros(shifted.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for lam in eigs:
@@ -328,7 +330,9 @@ def time_domain_steady_state(spec, t_final=None, dt=None) -> SteadyState:
     if dt is None or t_final is None:
         eigs = np.linalg.eigvals(matrix)
         if dt is None:
-            dt = 0.1 / float(np.abs(eigs).max())
+            # an all-zero matrix has no fastest scale: inf, refused below
+            with np.errstate(divide="ignore"):
+                dt = float(0.1 / np.abs(eigs).max())
         if t_final is None:
             alpha = float(eigs.real.max())
             if alpha >= 0.0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
-from .network import LoadSpec, NetworkSpec, _load_values
+from .network import LoadSpec, NetworkSpec, _grid, _integer, _load_values
 from .steady import (
     RESIDUAL_RTOL, _Factorization, _load_term, _residual_bound, drive_vector, effective_matrix,
 )
@@ -205,11 +205,13 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
     loses the digits of |h_L * x_L|. Every point must meet the residual
     contract of the full solve, |(H + h_L e_L e_L^T) a - i*W| <=
     RESIDUAL_RTOL * |W|, and give a finite p_l, or SingularNetwork is
-    raised. Returns a (len(gamma_values), 2) array of (p_l, eta) rows; eta
-    is nan where no power flows. Per-point solve_amplitudes and
-    power_report are the independent check of this route.
+    raised. gamma_values is a number (one point) or a 1-D grid. Returns a
+    (len(gamma_values), 2) array of (p_l, eta) rows; eta is nan where no
+    power flows. Per-point solve_amplitudes and power_report are the
+    independent check of this route.
     """
     _, gamma_values = _load_values((), gamma_values)
+    gamma_values = _grid("load gamma_load", gamma_values)
     x, y = _resolvent_pair(spec)
     # H is rebuilt, not kept beside x and y: an N x N copy on every spec
     # would cost more memory than the build costs time
@@ -255,9 +257,10 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     Every grid point is an independent dense solve of the complete
     steady-state system (batched for speed); nothing here relies on the
     single-node reduction, which is what makes this an oracle for it.
-    Returns a (len(delta_values), len(gamma_values)) array. Load values
-    are checked as load_sweep checks them; a grid point that misses the
-    residual contract or whose power overflows raises SingularNetwork.
+    Returns a (len(delta_values), len(gamma_values)) array. Each axis is a
+    number (one point) or a 1-D grid, and its values are checked as
+    load_sweep checks them; a grid point that misses the residual contract
+    or whose power overflows raises SingularNetwork.
 
     The grid is solved in chunks of at most GRID_CHUNK_BYTES of matrices
     (one matrix when a single one is larger), spread over the usable
@@ -267,6 +270,8 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     split; when chunks fail, the first failing one in grid order raises.
     """
     delta_values, gamma_values = _load_values(delta_values, gamma_values)
+    delta_values = _grid("load delta_omega", delta_values)
+    gamma_values = _grid("load gamma_load", gamma_values)
     base = effective_matrix(spec, loaded=False)
     rhs = 1j * drive_vector(spec)
     load = spec.load.node
@@ -382,6 +387,7 @@ def grid_check(spec, n_points=200) -> GridCheck:
     """
     if not n_points >= 2:
         raise ValidationError(f"need n_points >= 2, got {n_points}")
+    n_points = _integer("n_points", n_points)
     predicted = matched_load(spec)
     g_th = predicted.gamma_load
     deltas = np.linspace(

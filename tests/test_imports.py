@@ -4,9 +4,13 @@ scipy costs more start-up time than numpy and all of qnet together, so only
 the routes that factor a matrix (scipy.linalg) or build a Liouvillian
 (scipy.sparse) import it. The grid map runs its workers on plain threads,
 so no command loads a pool module (scipy.linalg loads the
-concurrent.futures package, but not its executors). Every check runs in a
-fresh interpreter, because this test process imported scipy long ago.
+concurrent.futures package, but not its executors). The one rule that keeps
+it so: no module in src/qnet imports scipy at module level, only inside the
+functions that call it. A static check reads that rule off the source; every
+other check runs in a fresh interpreter, because this test process imported
+scipy long ago.
 """
+import ast
 import json
 import os
 import subprocess
@@ -16,6 +20,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qnet"
 TWO_NODE = str(ROOT / "configs" / "two_node.json")
 
 
@@ -54,9 +59,37 @@ def executor_modules(modules):
     return sorted(POOL_MODULES & modules)
 
 
+def import_time_imports(tree):
+    """Import statements that run when the module is imported: every one
+    outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module] if node.level == 0 else []
+
+
+def test_no_module_imports_scipy_at_module_level():
+    offenders = [
+        f"{path.name}:{node.lineno} imports {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in import_time_imports(ast.parse(path.read_text(), str(path)))
+        for name in imported_modules(node)
+        if name == "scipy" or name.startswith("scipy.")
+    ]
+    assert offenders == []
+
+
 def test_import_cli_loads_no_scipy():
     _, modules = fresh_run("import qnet.cli")
-    assert "qnet.lindblad" not in modules
     assert scipy_modules(modules) == []
     assert executor_modules(modules) == []
 
@@ -91,7 +124,6 @@ def test_solve_loads_dense_lapack_only(tmp_path):
     assert code == 0
     assert "scipy.linalg" in modules
     assert "scipy.sparse" not in modules
-    assert "qnet.lindblad" not in modules
     assert executor_modules(modules) == []
 
 

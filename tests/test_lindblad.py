@@ -47,6 +47,19 @@ class TestFockConfig:
         with pytest.raises(ValidationError):
             qnet.FockConfig(n_max=0, nodes=1)
 
+    @pytest.mark.parametrize(
+        "sizes, name",
+        [(dict(n_max=2.5, nodes=2), "n_max"), (dict(n_max=True, nodes=1), "n_max"),
+         (dict(n_max=2, nodes=2.0), "nodes")],
+    )
+    def test_sizes_must_be_integers(self, sizes, name):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            qnet.FockConfig(**sizes)
+
+    def test_oracle_refuses_a_fractional_cutoff(self):
+        with pytest.raises(ValidationError, match="n_max must be an integer, got 2.5"):
+            qnet.oracle_report(_two_node(), 2.5)
+
 
 class TestGeneratorStructure:
     def test_amplitude_damping_spectrum(self):

@@ -45,6 +45,11 @@ class TestBuildChain:
         with pytest.raises(ValidationError):
             qnet.build_chain(0, 1000.0, 2.5, 1.0, _drive(1), _load(1))
 
+    @pytest.mark.parametrize("n_nodes", [2.5, 3.0, True])
+    def test_node_count_must_be_an_integer(self, n_nodes):
+        with pytest.raises(ValidationError, match="n_nodes must be an integer"):
+            qnet.build_chain(n_nodes, 1000.0, 2.5, 1.0, _drive(1), _load(1))
+
 
 class TestBuildRandom:
     def test_zero_std_gives_exact_mean(self):
@@ -81,6 +86,11 @@ class TestBuildRandom:
     def test_negative_std_rejected(self):
         with pytest.raises(ValidationError):
             qnet.build_random_all_to_all(3, 1000.0, 2.5, -1.0, 1.0, 1, _drive(3), _load(3))
+
+    @pytest.mark.parametrize("n_nodes, seed, name", [(3.0, 1, "n_nodes"), (3, 0.5, "seed")])
+    def test_count_and_seed_must_be_integers(self, n_nodes, seed, name):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            qnet.build_random_all_to_all(n_nodes, 1000.0, 2.5, 1.0, 1.0, seed, _drive(3), _load(3))
 
 
 class TestValidate:

@@ -328,6 +328,27 @@ class TestSpectralDensity:
         assert values.shape == (2,)
         assert np.isfinite(values).all()
 
+    def test_number_is_a_one_point_grid(self):
+        spec = _two_node(omega_d=1001.0)
+        values = qnet.spectral_density_grid(spec, 1000.5)
+        assert np.array_equal(values, qnet.spectral_density_grid(spec, [1000.5]))
+        assert values.shape == (1,)
+
+    @pytest.mark.parametrize(
+        "route, omega, message",
+        [
+            (qnet.spectral_density, "a", "omega must be real, got 'a'"),
+            (qnet.spectral_density, np.nan, "omega must be finite, got nan"),
+            (qnet.spectral_density, [999.0, 1001.0], "omega must be a single number"),
+            (qnet.spectral_density_grid, ["a"], "grid must be real"),
+            (qnet.spectral_density_grid, [999.0, np.nan], "grid must be finite, got nan"),
+            (qnet.spectral_density_grid, [[999.0, 1001.0]], "grid must be a number or a 1-D grid"),
+        ],
+    )
+    def test_frequencies_must_be_finite_real_numbers(self, route, omega, message):
+        with pytest.raises(ValidationError, match=message):
+            route(_one_node(omega_d=1000.0), omega)
+
 
 class TestTimeDomainOracle:
     def test_unforced_stays_at_zero(self):
@@ -362,10 +383,24 @@ class TestTimeDomainOracle:
             qnet.time_domain_steady_state(spec, t_final=1e-3, dt=1e-4)
         assert err.value.residual > 0.0
 
-    def test_undamped_network_rejected(self):
-        spec = _two_node(omega_d=1001.0, gamma=(0.0, 0.0))
+    # a lossless, unloaded node driven on resonance has an all-zero matrix,
+    # so no time scale to size dt by
+    LOSSLESS_NODE = qnet.NetworkSpec(
+        [1000.0], [0.0], [[0.0]], qnet.DriveSpec(0, 1000.0, 0.1), qnet.LoadSpec(0)
+    )
+
+    @pytest.mark.parametrize(
+        "spec, budget",
+        [
+            (_two_node(omega_d=1001.0, gamma=(0.0, 0.0)), {}),
+            (LOSSLESS_NODE, {}),
+            (LOSSLESS_NODE, dict(t_final=5.0)),
+        ],
+        ids=["two-node", "zero-matrix", "zero-matrix-t_final"],
+    )
+    def test_undamped_network_rejected(self, spec, budget):
         with pytest.raises(ValidationError):
-            qnet.time_domain_steady_state(spec)
+            qnet.time_domain_steady_state(spec, **budget)
 
     def test_overflowing_drive_is_singular(self):
         spec = _two_node(omega_d=1001.0, rabi=1e200)

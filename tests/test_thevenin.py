@@ -301,6 +301,24 @@ class TestGridOracle:
             with pytest.raises(ValidationError, match=message):
                 qnet.load_sweep(spec, [1.0, gamma])
 
+    def test_map_and_sweep_reject_grids_of_two_dimensions(self):
+        spec = make_random_network(2, 17)
+        square = [[1.0, 2.0], [3.0, 4.0]]
+        shape = r"must be a number or a 1-D grid, got an array of shape \(2, 2\)"
+        with pytest.raises(ValidationError, match="load delta_omega " + shape):
+            qnet.load_power_map(spec, square, [1.0])
+        with pytest.raises(ValidationError, match="load gamma_load " + shape):
+            qnet.load_power_map(spec, [0.0], square)
+        with pytest.raises(ValidationError, match="load gamma_load " + shape):
+            qnet.load_sweep(spec, square)
+
+    def test_number_is_a_one_point_axis(self):
+        spec = make_random_network(3, 5)
+        power = qnet.load_power_map(spec, 0.25, 1.5)
+        assert power.shape == (1, 1)
+        assert np.array_equal(power, qnet.load_power_map(spec, [0.25], [1.5]))
+        assert np.array_equal(qnet.load_sweep(spec, 1.5), qnet.load_sweep(spec, [1.5]))
+
     def test_map_overflowing_decay_is_singular_without_warnings(self):
         spec = make_random_network(2, 17)
         with warnings.catch_warnings():
@@ -318,9 +336,14 @@ class TestGridOracle:
         assert check.within_one_cell
         assert abs(check.p_refined - check.predicted.p_max) <= 1e-10 * check.predicted.p_max
 
-    @pytest.mark.parametrize("n_points", [0, 1, np.nan])
-    def test_grid_check_needs_two_points_per_axis(self, n_points):
-        with pytest.raises(ValidationError, match="need n_points >= 2"):
+    @pytest.mark.parametrize(
+        "n_points, message",
+        [(0, "need n_points >= 2"), (1, "need n_points >= 2"), (np.nan, "need n_points >= 2"),
+         (2.5, "n_points must be an integer, got 2.5"), (3.0, "n_points must be an integer")],
+        ids=["0", "1", "nan", "2.5", "3.0"],
+    )
+    def test_grid_check_needs_two_points_per_axis(self, n_points, message):
+        with pytest.raises(ValidationError, match=message):
             qnet.grid_check(make_random_network(2, 17), n_points=n_points)
 
 
