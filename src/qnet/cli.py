@@ -25,6 +25,7 @@ import numpy as np
 from .errors import CapacityError, QnetError, UnphysicalMatch, ValidationError
 from .lindblad import oracle_report
 from .network import DriveSpec, LoadSpec, build_chain, build_random_all_to_all, load_config, save_config
+from .network import _finite, _integer, _scalar
 from .power import power_report
 from .steady import solve_amplitudes, spectral_density_grid
 from .thevenin import grid_check, load_sweep, matched_load, thevenin_by_elimination, thevenin_equivalent
@@ -119,13 +120,15 @@ class SweepRequest:
     def __post_init__(self):
         if self.variable not in ("omega", "gamma_load"):
             raise ValidationError(f"unknown sweep variable {self.variable!r}")
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise ValidationError(f"need finite min and max, got {self.min} and {self.max}")
-        if not self.min < self.max:
-            raise ValidationError(f"need min < max, got {self.min} and {self.max}")
-        if self.n_points < 2:
+        lo = _scalar("min", _finite("min", self.min))
+        hi = _scalar("max", _finite("max", self.max))
+        if not lo < hi:
+            raise ValidationError(f"need min < max, got {lo} and {hi}")
+        if not hi - lo < math.inf:
+            raise ValidationError(f"need a finite max - min, got {lo} and {hi}")
+        if _integer("n_points", self.n_points) < 2:
             raise ValidationError(f"need at least 2 points, got {self.n_points}")
-        if self.log_scale and self.min <= 0:
+        if self.log_scale and lo <= 0:
             raise ValidationError("a logarithmic grid requires min > 0")
 
     @property

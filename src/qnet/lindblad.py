@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
 from .network import NetworkSpec, _integer
-from .power import general_power_from_correlators, input_power, load_power, radiated_power
+from .power import general_power_from_correlators, power_report
 from .steady import SteadyState, solve_amplitudes
 
 __all__ = [
@@ -244,9 +244,8 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
     amp_rel = float(np.linalg.norm(amps - linear.amplitudes) / amp_scale) if amp_scale else 0.0
 
     p_r_oracle, p_l_oracle = general_power_from_correlators(spec, amps, corr)
-    p_r_closed = radiated_power(spec, linear)
-    p_l_closed = load_power(spec, linear)
-    p_in_oracle = input_power(spec, SteadyState(amplitudes=amps))
+    closed = power_report(spec, linear)
+    p_in_oracle = power_report(spec, SteadyState(amplitudes=amps)).p_in
     p_out = p_r_oracle + p_l_oracle
 
     def rel(a, b):
@@ -259,10 +258,10 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
         "factorization_residual": _worst_factorization_defect(amps, corr),
         "p_r_oracle": p_r_oracle,
         "p_l_oracle": p_l_oracle,
-        "p_r_closed": p_r_closed,
-        "p_l_closed": p_l_closed,
-        "p_r_rel_discrepancy": rel(p_r_oracle, p_r_closed),
-        "p_l_rel_discrepancy": rel(p_l_oracle, p_l_closed),
+        "p_r_closed": closed.p_r,
+        "p_l_closed": closed.p_l,
+        "p_r_rel_discrepancy": rel(p_r_oracle, closed.p_r),
+        "p_l_rel_discrepancy": rel(p_l_oracle, closed.p_l),
         "p_in_oracle": p_in_oracle,
         "balance_rel_residual": rel(p_in_oracle, p_out),
     }

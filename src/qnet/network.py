@@ -37,8 +37,8 @@ def _integer(name, value) -> int:
     return int(value)
 
 
-def _finite(name, values, kinds="iuf") -> np.ndarray:
-    """values, a scalar or a grid, as an array of finite numbers (0-d for a
+def _numbers(name, values, kinds="iuf") -> np.ndarray:
+    """values, a scalar or a grid, as a float or complex array (0-d for a
     scalar), or ValidationError naming the field.
 
     The numpy dtype kind must be in `kinds`: real ints and floats by
@@ -52,7 +52,13 @@ def _finite(name, values, kinds="iuf") -> np.ndarray:
     if raw is None or raw.dtype.kind not in kinds:
         what = "a number" if "c" in kinds else "real"
         raise ValidationError(f"{name} must be {what}, got {reprlib.repr(values)}")
-    arr = raw.astype(complex if raw.dtype.kind == "c" else float)
+    return raw.astype(complex if raw.dtype.kind == "c" else float)
+
+
+def _finite(name, values, kinds="iuf") -> np.ndarray:
+    """_numbers(name, values, kinds) with every value finite, or
+    ValidationError naming the field."""
+    arr = _numbers(name, values, kinds)
     finite = np.isfinite(arr)
     if np.count_nonzero(finite) < arr.size:  # cheaper than .all() on one value
         raise ValidationError(f"{name} must be finite, got {arr[~finite][0].item()!r}")
@@ -250,17 +256,14 @@ def build_chain(n_nodes, omega_0, j, gamma, drive: DriveSpec, load: LoadSpec) ->
     n_nodes = _integer("n_nodes", n_nodes)
     if n_nodes < 1:
         raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
+    omega_0 = _scalar("omega_0", _finite("omega_0", omega_0))
+    j = _scalar("j", _finite("j", j))
+    gamma = _scalar("gamma", _finite("gamma", gamma))
     couplings = np.zeros((n_nodes, n_nodes))
     idx = np.arange(n_nodes - 1)
     couplings[idx, idx + 1] = j
     couplings[idx + 1, idx] = j
-    return NetworkSpec(
-        node_frequencies=np.full(n_nodes, float(omega_0)),
-        intrinsic_decays=np.full(n_nodes, float(gamma)),
-        couplings=couplings,
-        drive=drive,
-        load=load,
-    )
+    return NetworkSpec(np.full(n_nodes, omega_0), np.full(n_nodes, gamma), couplings, drive, load)
 
 
 def build_random_all_to_all(
@@ -276,8 +279,12 @@ def build_random_all_to_all(
     n_nodes = _integer("n_nodes", n_nodes)
     if n_nodes < 1:
         raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
+    omega_0 = _scalar("omega_0", _finite("omega_0", omega_0))
+    j_avg = _scalar("j_avg", _finite("j_avg", j_avg))
+    j_std = _scalar("j_std", _finite("j_std", j_std))
     if j_std < 0:
         raise ValidationError(f"j_std must be >= 0, got {j_std}")
+    gamma = _scalar("gamma", _finite("gamma", gamma))
     seed = _integer("seed", seed)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
@@ -286,13 +293,7 @@ def build_random_all_to_all(
     iu = np.triu_indices(n_nodes, k=1)
     couplings[iu] = rng.normal(j_avg, j_std, size=len(iu[0]))
     couplings = couplings + couplings.T
-    return NetworkSpec(
-        node_frequencies=np.full(n_nodes, float(omega_0)),
-        intrinsic_decays=np.full(n_nodes, float(gamma)),
-        couplings=couplings,
-        drive=drive,
-        load=load,
-    )
+    return NetworkSpec(np.full(n_nodes, omega_0), np.full(n_nodes, gamma), couplings, drive, load)
 
 
 # --- config file (JSON) serialization ---------------------------------------

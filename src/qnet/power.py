@@ -1,5 +1,5 @@
-"""Input, radiated and delivered power, the power report that carries the
-efficiency eta, and the closed-form two-node efficiency.
+"""The power report (input, radiated and delivered power and the efficiency
+eta), the correlator form and the closed-form two-node efficiency.
 
 In steady state the drive feeds exactly what the losses and the load
 dissipate: p_in = p_r + p_l. The input power is evaluated in the rotating
@@ -19,9 +19,6 @@ from .steady import SteadyState, effective_matrix, _frequency_matrix
 
 __all__ = [
     "PowerReport",
-    "input_power",
-    "radiated_power",
-    "load_power",
     "general_power_from_correlators",
     "matched_efficiency_two_node",
     "power_report",
@@ -36,35 +33,14 @@ class PowerReport:
     """Steady-state power bookkeeping. eta is None when nothing flows.
     balance_residual is |p_in - p_r - p_l| relative to the size of the
     terms, 2 * omega_d * |rabi| * |a_drive| + p_r + p_l, and 0.0 when they
-    all vanish."""
+    all vanish. The size, not p_in, is the scale: a drive that does no net
+    work leaves p_in as a rounding-level remainder of either sign."""
 
     p_in: float
     p_r: float
     p_l: float
     eta: float | None
     balance_residual: float
-
-
-def input_power(spec: NetworkSpec, state: SteadyState) -> float:
-    """Power the coherent drive pushes into the network."""
-    amp = state.amplitudes[spec.drive.node]
-    return float(-2.0 * spec.drive.omega_d * np.imag(np.conj(spec.drive.rabi) * amp))
-
-
-def radiated_power(spec: NetworkSpec, state: SteadyState) -> float:
-    """Power lost through the intrinsic decay channels,
-    omega_d * sum_n gamma_n |a_n|^2."""
-    return float(
-        spec.drive.omega_d
-        * np.sum(spec.intrinsic_decays * np.abs(state.amplitudes) ** 2)
-    )
-
-
-def load_power(spec: NetworkSpec, state: SteadyState) -> float:
-    """Power delivered into the load channel,
-    omega_d * gamma_load * |a_load|^2."""
-    amp = state.amplitudes[spec.load.node]
-    return float(spec.drive.omega_d * spec.load.gamma_load * abs(amp) ** 2)
 
 
 def general_power_from_correlators(spec, first_moments, second_moments):
@@ -89,7 +65,8 @@ def general_power_from_correlators(spec, first_moments, second_moments):
             f"moment shapes {amps.shape}, {corr.shape} do not fit {n} nodes"
         )
     herm_defect = np.abs(corr - corr.conj().T).max()
-    if herm_defect > 1e-10 * max(1.0, np.abs(corr).max()):
+    # both checks are written this way round so that nan moments fail them
+    if not herm_defect <= 1e-10 * max(1.0, np.abs(corr).max()):
         raise InvalidMoments(f"second moments not Hermitian (defect {herm_defect:.3e})")
 
     w = _frequency_matrix(spec)
@@ -105,7 +82,7 @@ def general_power_from_correlators(spec, first_moments, second_moments):
     p_r = 0.5 * np.sum(gamma_sum * pair)
     p_l = 0.5 * np.sum(load_sum * pair)
     scale = max(abs(p_r), abs(p_l), _EPS)
-    if max(abs(p_r.imag), abs(p_l.imag)) > 1e-10 * scale:
+    if not max(abs(p_r.imag), abs(p_l.imag)) <= 1e-10 * scale:
         raise InvalidMoments(
             f"power has a nonreal part ({p_r.imag:.3e}, {p_l.imag:.3e}) beyond tolerance"
         )
@@ -138,20 +115,41 @@ def matched_efficiency_two_node(spec: NetworkSpec) -> float:
     return float(g_l / (factor * gamma[0] + gamma[1] + g_l))
 
 
+def _powers(spec: NetworkSpec, amps, gamma_load):
+    """p_in, p_r, p_l, eta and the balance residual of PowerReport, as numpy
+    floats for one state (amps of shape (N,), gamma_load a number) or arrays
+    for a stack of states (one per row, as is gamma_load). eta is nan where
+    p_l + p_r == 0, the residual where its scale is 0. Raises SingularNetwork
+    when |p_in| + p_r + p_l is not finite, naming the first failing
+    gamma_load for a stack."""
+    omega_d, rabi = spec.drive.omega_d, spec.drive.rabi
+    # amps.T[k] is node k's amplitude, a numpy scalar (not a 0-d array) for
+    # one state: numpy's scalar and array routines can round a complex
+    # product or modulus apart in the last bit, and one state keeps its
+    # roundings, abs in p_l and np.abs in the drive size
+    a_drive = amps.T[spec.drive.node]
+    with np.errstate(all="ignore"):
+        p_in = -2.0 * omega_d * (np.conj(rabi) * a_drive).imag
+        p_r = omega_d * np.sum(spec.intrinsic_decays * np.abs(amps) ** 2, axis=-1)
+        p_l = omega_d * gamma_load * abs(amps.T[spec.load.node]) ** 2
+        finite = abs(p_in) + p_r + p_l < math.inf  # so that nan fails too
+        # with finite powers each quotient is 0 / 0 = nan exactly where its
+        # denominator vanishes, as p_r, p_l >= 0 and |p_in| <= the drive size
+        eta = p_l / (p_l + p_r)
+        scale = 2.0 * omega_d * (np.abs(rabi) * np.abs(a_drive)) + p_r + p_l
+        residual = abs(p_in - p_r - p_l) / scale
+    if np.count_nonzero(finite) < finite.size:  # cheaper than .all() on one value
+        row = np.argmin(finite)  # the first state that fails
+        p_in, p_r, p_l = (float(np.ravel(p)[row]) for p in (p_in, p_r, p_l))
+        at = f" at gamma_load = {float(gamma_load[row])!r}" if amps.ndim > 1 else ""
+        raise SingularNetwork(f"power overflows{at}: p_in={p_in!r}, p_r={p_r!r}, p_l={p_l!r}")
+    return p_in, p_r, p_l, eta, residual
+
+
 def power_report(spec: NetworkSpec, state: SteadyState) -> PowerReport:
     """Assemble the full power bookkeeping for a steady state. Raises
     SingularNetwork when the powers overflow double precision."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_in = input_power(spec, state)
-        p_r = radiated_power(spec, state)
-        p_l = load_power(spec, state)
-        # The balance residual is taken relative to the size of the terms,
-        # not to p_in: a drive that does no net work leaves p_in as a
-        # rounding-level remainder of either sign.
-        drive_size = np.abs(spec.drive.rabi) * np.abs(state.amplitudes[spec.drive.node])
-        scale = 2.0 * spec.drive.omega_d * drive_size + p_r + p_l
-    if not math.isfinite(abs(p_in) + p_r + p_l):
-        raise SingularNetwork(f"power overflows: p_in={p_in!r}, p_r={p_r!r}, p_l={p_l!r}")
-    eta = None if p_l + p_r == 0 else float(p_l / (p_l + p_r))
-    residual = 0.0 if scale == 0 else float(abs(p_in - p_r - p_l) / scale)
-    return PowerReport(p_in=p_in, p_r=p_r, p_l=p_l, eta=eta, balance_residual=residual)
+    p_in, p_r, p_l, eta, residual = _powers(spec, state.amplitudes, spec.load.gamma_load)
+    eta = None if math.isnan(eta) else float(eta)
+    residual = 0.0 if math.isnan(residual) else float(residual)
+    return PowerReport(float(p_in), float(p_r), float(p_l), eta, residual)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, SingularNetwork, ValidationError
-from .network import NetworkSpec, _finite, _grid, _scalar
+from .network import NetworkSpec, _finite, _grid, _numbers, _scalar
 
 __all__ = [
     "SteadyState",
@@ -321,6 +321,9 @@ def time_domain_steady_state(spec, t_final=None, dt=None) -> SteadyState:
     network with a non-decaying mode or a budget that is not a finite
     positive number of at most 2e8 steps.
     """
+    # nan and inf pass here and fail the budget check below
+    t_final = t_final if t_final is None else _scalar("t_final", _numbers("t_final", t_final))
+    dt = dt if dt is None else _scalar("dt", _numbers("dt", dt))
     matrix = effective_matrix(spec)
     omega = drive_vector(spec)
     forcing = -1j * omega
@@ -348,7 +351,7 @@ def time_domain_steady_state(spec, t_final=None, dt=None) -> SteadyState:
             f"t_final={t_final!r}; check decay rates or pass explicit t_final/dt"
         )
 
-    amps, _, residual = _rk4_fixed_point(matrix, forcing, float(dt), math.ceil(t_final / dt), tol)
+    amps, _, residual = _rk4_fixed_point(matrix, forcing, dt, math.ceil(t_final / dt), tol)
     if not residual <= tol:
         raise ConvergenceFailure(residual)
     return SteadyState(amplitudes=amps)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
 from .network import LoadSpec, NetworkSpec, _grid, _integer, _load_values
+from .power import _powers
 from .steady import (
     RESIDUAL_RTOL, _Factorization, _load_term, _residual_bound, drive_vector, effective_matrix,
 )
@@ -204,11 +205,12 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
     for the load entry; recovering it from the difference on the left
     loses the digits of |h_L * x_L|. Every point must meet the residual
     contract of the full solve, |(H + h_L e_L e_L^T) a - i*W| <=
-    RESIDUAL_RTOL * |W|, and give a finite p_l, or SingularNetwork is
-    raised. gamma_values is a number (one point) or a 1-D grid. Returns a
-    (len(gamma_values), 2) array of (p_l, eta) rows; eta is nan where no
-    power flows. Per-point solve_amplitudes and power_report are the
-    independent check of this route.
+    RESIDUAL_RTOL * |W|, and give finite powers, as power_report demands
+    of one state, or SingularNetwork is raised. gamma_values is a number
+    (one point) or a 1-D grid. Returns a (len(gamma_values), 2) array of
+    (p_l, eta) rows; eta is nan where no power flows. Per-point
+    solve_amplitudes and power_report are the independent check of this
+    route.
     """
     _, gamma_values = _load_values((), gamma_values)
     gamma_values = _grid("load gamma_load", gamma_values)
@@ -230,14 +232,7 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
             raise SingularNetwork(
                 f"load sweep residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|"
             )
-        omega_d = spec.drive.omega_d
-        p_l = omega_d * gamma_values * np.abs(amp_load) ** 2
-        p_r = omega_d * np.sum(spec.intrinsic_decays * np.abs(amps) ** 2, axis=1)
-        if not np.isfinite(p_l).all():
-            first = gamma_values[~np.isfinite(p_l)][0]
-            raise SingularNetwork(f"load power overflows at gamma_load = {float(first)!r}")
-        total = p_l + p_r
-        eta = np.where(total == 0, np.nan, p_l / total)
+    _, _, p_l, eta, _ = _powers(spec, amps, gamma_values)
     return np.column_stack([p_l, eta])
 
 
@@ -385,9 +380,9 @@ def grid_check(spec, n_points=200) -> GridCheck:
     resolution. Every brute-force number, refinement included, comes from
     load_power_map's full solves, none from solve_amplitudes.
     """
-    if not n_points >= 2:
-        raise ValidationError(f"need n_points >= 2, got {n_points}")
     n_points = _integer("n_points", n_points)
+    if n_points < 2:
+        raise ValidationError(f"need n_points >= 2, got {n_points}")
     predicted = matched_load(spec)
     g_th = predicted.gamma_load
     deltas = np.linspace(

@@ -98,6 +98,17 @@ def small_corpus():
     return [make_random_network(n, seed) for n in (2, 5, 10) for seed in range(3)]
 
 
+def radiated_overflow():
+    """Two weakly coupled lossy nodes driven so hard that the radiated
+    power overflows double precision while the power delivered to the load
+    stays finite."""
+    return qnet.build_chain(
+        2, 1000.0, 1e-3, 1.0,
+        qnet.DriveSpec(node=0, omega_d=1000.0, rabi=1e154),
+        qnet.LoadSpec(node=1, gamma_load=1.0),
+    )
+
+
 def two_node_resonant(j=2.0, gamma_1=1.3, rabi=0.9, omega_0=1000.0):
     """Two nodes, everything on resonance, lossless load node. The case with
     hand-derivable equivalents: h_th = -2 j^2 / gamma_1, matched load

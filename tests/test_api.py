@@ -16,6 +16,9 @@ def test_module_all_lists_match_package():
         "spectral_density_sweep",
         "UndefinedEfficiency",
         "Violation",
+        "input_power",
+        "radiated_power",
+        "load_power",
     )
     assert [name for name in deleted if hasattr(qnet, name)] == []
 

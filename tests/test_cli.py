@@ -12,7 +12,7 @@ import pytest
 import qnet
 from qnet.cli import SweepRequest, main, run_sweep
 
-from conftest import strict_json
+from conftest import radiated_overflow, strict_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -355,6 +355,12 @@ class TestSweep:
             SweepRequest(path, "gamma_load", -1.0, 5.0, 10, log_scale=True)
         with pytest.raises(qnet.ValidationError):
             SweepRequest(path, "voltage", 1.0, 5.0, 10)
+        with pytest.raises(qnet.ValidationError, match="min must be real, got 'a'"):
+            SweepRequest(path, "omega", "a", 2.0, 3)
+        with pytest.raises(qnet.ValidationError, match="n_points must be an integer, got 2.5"):
+            SweepRequest(path, "omega", 1.0, 2.0, 2.5)
+        with pytest.raises(qnet.ValidationError, match="need a finite max - min"):
+            SweepRequest(path, "omega", -1.7e308, 1.7e308, 5)
 
     def test_run_sweep_returns_csv_text(self, tmp_path):
         path = two_node_config(tmp_path)
@@ -377,7 +383,9 @@ class TestSweep:
         assert code == 2
 
     @pytest.mark.parametrize("var", ["omega", "gamma_load"])
-    @pytest.mark.parametrize("lo,hi", [("1", "inf"), ("-inf", "1"), ("nan", "1"), ("1", "nan")])
+    @pytest.mark.parametrize(
+        "lo,hi", [("1", "inf"), ("-inf", "1"), ("nan", "1"), ("1", "nan"), ("-1.7e308", "1.7e308")]
+    )
     def test_non_finite_range_exits_2(self, capsys, var, lo, hi):
         code, _, err = run_quietly(
             capsys, "sweep", "--config", str(CONFIGS / "two_node.json"), "--var", var,
@@ -385,6 +393,7 @@ class TestSweep:
         )
         assert code == 2
         assert err.startswith("qnet: input error:") and "finite" in err
+        assert err.count("\n") == 1
 
     def test_negative_load_decay_exits_2(self, capsys):
         code, _, err = run_quietly(
@@ -393,6 +402,14 @@ class TestSweep:
         )
         assert code == 2
         assert "load decay must be >= 0: -1.0" in err
+
+    def test_radiated_power_overflow_exits_3_as_solve_does(self, capsys, tmp_path):
+        path = write_config(tmp_path, radiated_overflow())
+        sweep = ("--var", "gamma_load", "--min", "1", "--max", "2", "--points", "2")
+        for command, extra in (("solve", ()), ("sweep", sweep)):
+            code, out, err = run_quietly(capsys, command, "--config", path, *extra)
+            assert (code, out) == (3, ""), command
+            assert err.startswith("qnet: power overflows") and err.count("\n") == 1
 
     def test_overflowing_load_decay_exits_3(self, capsys):
         code, out, err = run_quietly(

@@ -50,6 +50,19 @@ class TestBuildChain:
         with pytest.raises(ValidationError, match="n_nodes must be an integer"):
             qnet.build_chain(n_nodes, 1000.0, 2.5, 1.0, _drive(1), _load(1))
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("1000", 2.5, 1.0), "omega_0 must be real, got '1000'"),
+         ((1000.0, True, 1.0), "j must be real, got True"),
+         ((1000.0, 2.5, "1.0"), "gamma must be real, got '1.0'"),
+         ((1000.0, 2.5, [1.0, 2.0]), r"gamma must be a single number"),
+         ((1000.0, np.nan, 1.0), "j must be finite, got nan")],
+        ids=["omega_0", "j", "gamma", "gamma-array", "j-nan"],
+    )
+    def test_scalars_must_be_finite_real_numbers(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            qnet.build_chain(3, *args, _drive(3), _load(3))
+
 
 class TestBuildRandom:
     def test_zero_std_gives_exact_mean(self):
@@ -86,6 +99,19 @@ class TestBuildRandom:
     def test_negative_std_rejected(self):
         with pytest.raises(ValidationError):
             qnet.build_random_all_to_all(3, 1000.0, 2.5, -1.0, 1.0, 1, _drive(3), _load(3))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("1000", 2.5, 1.0, 1.0), "omega_0 must be real, got '1000'"),
+         ((1000.0, True, 1.0, 1.0), "j_avg must be real, got True"),
+         ((1000.0, 2.5, "a", 1.0), "j_std must be real, got 'a'"),
+         ((1000.0, 2.5, 1.0, "1.0"), "gamma must be real, got '1.0'"),
+         ((1000.0, 2.5, np.inf, 1.0), "j_std must be finite, got inf")],
+        ids=["omega_0", "j_avg", "j_std", "gamma", "j_std-inf"],
+    )
+    def test_scalars_must_be_finite_real_numbers(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            qnet.build_random_all_to_all(3, *args, 1, _drive(3), _load(3))
 
     @pytest.mark.parametrize("n_nodes, seed, name", [(3.0, 1, "n_nodes"), (3, 0.5, "seed")])
     def test_count_and_seed_must_be_integers(self, n_nodes, seed, name):

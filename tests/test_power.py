@@ -1,4 +1,6 @@
 """Power bookkeeping: balance, factorized and correlator forms, efficiency."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ import qnet
 from qnet.errors import InvalidMoments, UnsupportedTopology
 
 from conftest import load_settings, make_random_network, two_node_resonant
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _one_node(gamma=0.8, rabi=0.1 + 0.0j, omega_0=1000.0):
@@ -26,8 +30,9 @@ class TestHandComputedCases:
         spec = _one_node(gamma=gamma, rabi=rabi)
         state = qnet.solve_amplitudes(spec)
         expected = 4 * omega_0 * abs(rabi) ** 2 / gamma
-        assert qnet.input_power(spec, state) == pytest.approx(expected, rel=1e-12)
-        assert qnet.radiated_power(spec, state) == pytest.approx(expected, rel=1e-12)
+        report = qnet.power_report(spec, state)
+        assert report.p_in == pytest.approx(expected, rel=1e-12)
+        assert report.p_r == pytest.approx(expected, rel=1e-12)
 
     def test_matched_two_node_resonant(self):
         j, g1, rabi, omega_0 = 2.0, 1.3, 0.9, 1000.0
@@ -35,10 +40,10 @@ class TestHandComputedCases:
         matched = qnet.matched_load(spec)
         probe = spec.with_load(delta_omega=matched.delta_omega, gamma_load=matched.gamma_load)
         state = qnet.solve_amplitudes(probe)
-        p_l = qnet.load_power(probe, state)
-        assert p_l == pytest.approx(omega_0 * rabi**2 / g1, rel=1e-12)
-        assert p_l == pytest.approx(matched.p_max, rel=1e-12)
-        assert qnet.power_report(probe, state).eta == pytest.approx(0.5, abs=1e-12)
+        report = qnet.power_report(probe, state)
+        assert report.p_l == pytest.approx(omega_0 * rabi**2 / g1, rel=1e-12)
+        assert report.p_l == pytest.approx(matched.p_max, rel=1e-12)
+        assert report.eta == pytest.approx(0.5, abs=1e-12)
 
 
 class TestZeroCases:
@@ -59,12 +64,12 @@ class TestZeroCases:
             load=qnet.LoadSpec(node=0, gamma_load=2.0),
         )
         state = qnet.solve_amplitudes(spec)
-        assert qnet.radiated_power(spec, state) == 0.0
+        assert qnet.power_report(spec, state).p_r == 0.0
 
     def test_detached_load_draws_nothing(self):
         spec = _one_node()
         state = qnet.solve_amplitudes(spec)
-        assert qnet.load_power(spec, state) == 0.0
+        assert qnet.power_report(spec, state).p_l == 0.0
 
 
 class TestPowerBalance:
@@ -118,7 +123,7 @@ class TestTheveninForm:
         th = qnet.thevenin_equivalent(spec)
         for delta_omega, gamma_load in load_settings(seed, count=5):
             probe = spec.with_load(delta_omega=delta_omega, gamma_load=gamma_load)
-            full = qnet.load_power(probe, qnet.solve_amplitudes(probe))
+            full = qnet.power_report(probe, qnet.solve_amplitudes(probe)).p_l
             reduced = qnet.load_power_thevenin(th, probe.load, probe.drive.omega_d)
             assert abs(reduced - full) / full < 1e-10
 
@@ -129,9 +134,9 @@ class TestCorrelatorForm:
             amps = qnet.solve_amplitudes(spec).amplitudes
             corr = np.outer(amps.conj(), amps)
             p_r, p_l = qnet.general_power_from_correlators(spec, amps, corr)
-            state = qnet.SteadyState(amplitudes=amps)
-            assert p_r == pytest.approx(qnet.radiated_power(spec, state), rel=1e-10, abs=1e-12)
-            assert p_l == pytest.approx(qnet.load_power(spec, state), rel=1e-10, abs=1e-12)
+            report = qnet.power_report(spec, qnet.SteadyState(amplitudes=amps))
+            assert p_r == pytest.approx(report.p_r, rel=1e-10, abs=1e-12)
+            assert p_l == pytest.approx(report.p_l, rel=1e-10, abs=1e-12)
 
     def test_zero_moments(self):
         spec = make_random_network(3, 2)
@@ -152,6 +157,16 @@ class TestCorrelatorForm:
         with pytest.raises(InvalidMoments):
             qnet.general_power_from_correlators(spec, np.zeros(2, complex), np.zeros((3, 3), complex))
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [([np.nan, 0.0], np.zeros((2, 2))), ([0.0, 0.0], np.full((2, 2), np.nan))],
+        ids=["nan-first-moment", "nan-second-moments"],
+    )
+    def test_nan_moments_rejected(self, first, second):
+        spec = qnet.load_config(CONFIGS / "two_node.json")
+        with pytest.raises(InvalidMoments):
+            qnet.general_power_from_correlators(spec, first, second)
+
 
 class TestEfficiency:
     def test_scale_invariance(self):
@@ -167,15 +182,11 @@ class TestEfficiency:
         state = qnet.solve_amplitudes(spec)
         doubled = spec.with_drive(omega_d=2 * spec.drive.omega_d)
         frozen = qnet.SteadyState(amplitudes=state.amplitudes)
-        assert qnet.radiated_power(doubled, frozen) == pytest.approx(
-            2 * qnet.radiated_power(spec, state), rel=1e-14
-        )
-        assert qnet.load_power(doubled, frozen) == pytest.approx(
-            2 * qnet.load_power(spec, state), rel=1e-14
-        )
-        assert qnet.input_power(doubled, frozen) == pytest.approx(
-            2 * qnet.input_power(spec, state), rel=1e-14
-        )
+        base = qnet.power_report(spec, state)
+        twice = qnet.power_report(doubled, frozen)
+        assert twice.p_r == pytest.approx(2 * base.p_r, rel=1e-14)
+        assert twice.p_l == pytest.approx(2 * base.p_l, rel=1e-14)
+        assert twice.p_in == pytest.approx(2 * base.p_in, rel=1e-14)
 
 
 class TestTwoNodeEfficiencyFormula:

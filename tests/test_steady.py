@@ -415,3 +415,15 @@ class TestTimeDomainOracle:
         spec = _two_node(omega_d=1001.0)
         with pytest.raises(ValidationError, match="t_final / dt <= 2e8 steps"):
             qnet.time_domain_steady_state(spec, **budget)
+
+    @pytest.mark.parametrize(
+        "budget, message",
+        [(dict(t_final="a"), "t_final must be real, got 'a'"), (dict(dt="a"), "dt must be real, got 'a'"),
+         (dict(t_final=True), "t_final must be real, got True"),
+         (dict(dt=[1e-3, 2e-3]), "dt must be a single number")],
+        ids=["t_final", "dt", "t_final-bool", "dt-array"],
+    )
+    def test_budget_must_be_real_numbers(self, budget, message):
+        spec = _two_node(omega_d=1001.0)
+        with pytest.raises(ValidationError, match=message):
+            qnet.time_domain_steady_state(spec, **budget)

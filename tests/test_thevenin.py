@@ -12,7 +12,7 @@ import pytest
 import qnet
 from qnet.errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
 
-from conftest import load_settings, make_random_network, two_node_resonant
+from conftest import load_settings, make_random_network, radiated_overflow, two_node_resonant
 
 
 def _two_node(omega_d, gamma=(1.0, 0.5), j=2.5, omega_0=1000.0, rabi=0.1 + 0.05j):
@@ -248,6 +248,14 @@ class TestLoadSweep:
         assert np.all(rows[:, 0] == 0.0)
         assert np.all(np.isnan(rows[:, 1]))
 
+    def test_radiated_power_overflow_raises_as_in_power_report(self):
+        # p_l stays finite, so only the overflow rule of power_report catches it
+        spec = radiated_overflow()
+        with pytest.raises(SingularNetwork, match=r"^power overflows: p_in=inf, p_r=inf, p_l="):
+            qnet.power_report(spec, qnet.solve_amplitudes(spec))
+        with pytest.raises(SingularNetwork, match=r"^power overflows at gamma_load = 1\.0: p_in=inf, p_r=inf"):
+            qnet.load_sweep(spec, [1.0, 2.0])
+
 
 class TestGridOracle:
     def test_grid_search_confirms_prediction(self):
@@ -274,7 +282,7 @@ class TestGridOracle:
             for j, g in enumerate(gammas):
                 probe = spec.with_load(delta_omega=float(d), gamma_load=float(g))
                 state = qnet.solve_amplitudes(probe)
-                assert power[i, j] == pytest.approx(qnet.load_power(probe, state), rel=1e-12)
+                assert power[i, j] == pytest.approx(qnet.power_report(probe, state).p_l, rel=1e-12)
 
     @pytest.mark.parametrize(
         "delta,gamma,message",
@@ -338,9 +346,10 @@ class TestGridOracle:
 
     @pytest.mark.parametrize(
         "n_points, message",
-        [(0, "need n_points >= 2"), (1, "need n_points >= 2"), (np.nan, "need n_points >= 2"),
-         (2.5, "n_points must be an integer, got 2.5"), (3.0, "n_points must be an integer")],
-        ids=["0", "1", "nan", "2.5", "3.0"],
+        [(0, "need n_points >= 2"), (1, "need n_points >= 2"), (np.nan, "n_points must be an integer, got nan"),
+         (2.5, "n_points must be an integer, got 2.5"), (3.0, "n_points must be an integer"),
+         ("a", "n_points must be an integer, got 'a'")],
+        ids=["0", "1", "nan", "2.5", "3.0", "a"],
     )
     def test_grid_check_needs_two_points_per_axis(self, n_points, message):
         with pytest.raises(ValidationError, match=message):
