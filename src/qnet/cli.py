@@ -54,6 +54,11 @@ def _complex_dict(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _rel(value, reference) -> float:
+    """|value - reference| relative to |reference|; 0 when both are 0."""
+    return abs(value - reference) / max(abs(reference), 1e-300)
+
+
 def _cmd_solve(args) -> int:
     spec = load_config(args.config)
     state = solve_amplitudes(spec)
@@ -70,10 +75,6 @@ def _cmd_thevenin(args) -> int:
     spec = load_config(args.config)
     resolvent = thevenin_equivalent(spec)
     elimination = thevenin_by_elimination(spec)
-
-    def rel(a, b):
-        return abs(a - b) / max(abs(a), 1e-300)
-
     payload = {
         "load_node": resolvent.load_node,
         "h_th": _complex_dict(resolvent.h_th),
@@ -85,8 +86,8 @@ def _cmd_thevenin(args) -> int:
             "omega_th": _complex_dict(elimination.omega_th),
         },
         "rel_discrepancy": {
-            "h_th": rel(resolvent.h_th, elimination.h_th),
-            "omega_th": rel(resolvent.omega_th, elimination.omega_th),
+            "h_th": _rel(elimination.h_th, resolvent.h_th),
+            "omega_th": _rel(elimination.omega_th, resolvent.omega_th),
         },
     }
     _emit(_json(payload), args.out)
@@ -100,8 +101,7 @@ def _cmd_match(args) -> int:
     if args.grid_check:
         gc = grid_check(spec)
         fields = {k: v for k, v in vars(gc).items() if k != "predicted"}
-        rel_error = abs(gc.p_refined - matched.p_max) / matched.p_max
-        payload["grid_check"] = {**fields, "p_refined_rel_error": rel_error}
+        payload["grid_check"] = {**fields, "p_refined_rel_error": _rel(gc.p_refined, matched.p_max)}
     _emit(_json(payload), args.out)
     return 0
 
@@ -128,6 +128,8 @@ class SweepRequest:
             raise ValidationError(f"need a finite max - min, got {lo} and {hi}")
         if _integer("n_points", self.n_points) < 2:
             raise ValidationError(f"need at least 2 points, got {self.n_points}")
+        if not isinstance(self.log_scale, (bool, np.bool_)):
+            raise ValidationError(f"log_scale must be a bool, got {self.log_scale!r}")
         if self.log_scale and lo <= 0:
             raise ValidationError("a logarithmic grid requires min > 0")
 

@@ -252,7 +252,7 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
         return abs(a - b) / max(abs(b), 1e-300)
 
     return {
-        "n_max": n_max,
+        "n_max": cfg.n_max,
         "dim": cfg.dim,
         "amplitude_rel_discrepancy": amp_rel,
         "factorization_residual": _worst_factorization_defect(amps, corr),

@@ -37,9 +37,9 @@ def _integer(name, value) -> int:
     return int(value)
 
 
-def _numbers(name, values, kinds="iuf") -> np.ndarray:
+def _finite(name, values, kinds="iuf") -> np.ndarray:
     """values, a scalar or a grid, as a float or complex array (0-d for a
-    scalar), or ValidationError naming the field.
+    scalar) of finite numbers, or ValidationError naming the field.
 
     The numpy dtype kind must be in `kinds`: real ints and floats by
     default, "iufc" where complex numbers are allowed. That refuses bools,
@@ -52,13 +52,7 @@ def _numbers(name, values, kinds="iuf") -> np.ndarray:
     if raw is None or raw.dtype.kind not in kinds:
         what = "a number" if "c" in kinds else "real"
         raise ValidationError(f"{name} must be {what}, got {reprlib.repr(values)}")
-    return raw.astype(complex if raw.dtype.kind == "c" else float)
-
-
-def _finite(name, values, kinds="iuf") -> np.ndarray:
-    """_numbers(name, values, kinds) with every value finite, or
-    ValidationError naming the field."""
-    arr = _numbers(name, values, kinds)
+    arr = raw.astype(complex if raw.dtype.kind == "c" else float)
     finite = np.isfinite(arr)
     if np.count_nonzero(finite) < arr.size:  # cheaper than .all() on one value
         raise ValidationError(f"{name} must be finite, got {arr[~finite][0].item()!r}")

@@ -53,9 +53,9 @@ def general_power_from_correlators(spec, first_moments, second_moments):
 
     with D_nm = delta_nm * omega_d - w_nm, and p_l the same with the load
     rates. For factorized moments this collapses to the amplitude formulas
-    because w_nm + D_nm = delta_nm * omega_d. Raises InvalidMoments when
-    second_moments is not Hermitian to 1e-10 (relative) or the results keep
-    a nonreal part beyond tolerance.
+    because w_nm + D_nm = delta_nm * omega_d. Raises InvalidMoments when a
+    moment is not finite, when second_moments is not Hermitian to 1e-10
+    (relative) or when the results keep a nonreal part beyond tolerance.
     """
     amps = np.asarray(first_moments, dtype=complex)
     corr = np.asarray(second_moments, dtype=complex)
@@ -64,8 +64,11 @@ def general_power_from_correlators(spec, first_moments, second_moments):
         raise InvalidMoments(
             f"moment shapes {amps.shape}, {corr.shape} do not fit {n} nodes"
         )
+    for name, moments in (("first", amps), ("second", corr)):
+        if not np.isfinite(moments).all():
+            raise InvalidMoments(f"{name} moments must be finite")
     herm_defect = np.abs(corr - corr.conj().T).max()
-    # both checks are written this way round so that nan moments fail them
+    # both checks are written this way round so that a nan from overflow fails them
     if not herm_defect <= 1e-10 * max(1.0, np.abs(corr).max()):
         raise InvalidMoments(f"second moments not Hermitian (defect {herm_defect:.3e})")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, SingularNetwork, ValidationError
-from .network import NetworkSpec, _finite, _grid, _numbers, _scalar
+from .network import NetworkSpec, _finite, _grid, _scalar
 
 __all__ = [
     "SteadyState",
@@ -301,7 +301,7 @@ def _rk4_fixed_point(a, forcing, dt, max_steps, tol):
         steps *= 2
 
 
-def time_domain_steady_state(spec, t_final=None, dt=None) -> SteadyState:
+def time_domain_steady_state(spec) -> SteadyState:
     """Independent relaxation oracle for the direct solve.
 
     Follows the fixed-step fourth-order Runge-Kutta trajectory of
@@ -310,48 +310,41 @@ def time_domain_steady_state(spec, t_final=None, dt=None) -> SteadyState:
     repeated squaring, so the iterate at step 2^j costs j matrix products.
     The iterate is read at steps 1, 2, 4, ... until the derivative norm
     falls to 1e-10 * |W| or the next doubling would pass t_final.
-    Defaults: dt resolves the fastest scale (0.1 / max |eigenvalue|) and
-    t_final budgets several lifetimes of the slowest mode; the eigenvalues
-    are used only to size the budget, never to form the answer, and no
-    linear solve is made.
+    The budget comes from the eigenvalues of the matrix: dt = 0.1 / max
+    |eigenvalue| resolves the fastest scale and t_final = 60 / |max Re
+    eigenvalue| spans 60 lifetimes of the slowest mode. The eigenvalues
+    only size the budget, never form the answer, and no linear solve is
+    made.
 
     Raises ConvergenceFailure, carrying the residual at the last step
     reached, when the residual target is not met by t_final,
     SingularNetwork when that target overflows, and ValidationError for a
-    network with a non-decaying mode or a budget that is not a finite
-    positive number of at most 2e8 steps.
+    network with a non-decaying mode or a budget of more than 2e8 steps.
     """
-    # nan and inf pass here and fail the budget check below
-    t_final = t_final if t_final is None else _scalar("t_final", _numbers("t_final", t_final))
-    dt = dt if dt is None else _scalar("dt", _numbers("dt", dt))
     matrix = effective_matrix(spec)
     omega = drive_vector(spec)
     forcing = -1j * omega
     with np.errstate(over="ignore", invalid="ignore"):
         tol = _residual_bound(np.linalg.norm(omega))
 
-    if dt is None or t_final is None:
-        eigs = np.linalg.eigvals(matrix)
-        if dt is None:
-            # an all-zero matrix has no fastest scale: inf, refused below
-            with np.errstate(divide="ignore"):
-                dt = float(0.1 / np.abs(eigs).max())
-        if t_final is None:
-            alpha = float(eigs.real.max())
-            if alpha >= 0.0:
-                raise ValidationError(
-                    f"network has a non-decaying mode (max Re eigenvalue {alpha:.3e}); "
-                    "the relaxation oracle requires a decaying system"
-                )
-            t_final = 60.0 / abs(alpha)
-    # written this way round so that nan and inf fail too
-    if not (0 < dt < math.inf and 0 < t_final and t_final / dt <= 200_000_000):
+    eigs = np.linalg.eigvals(matrix)
+    alpha = float(eigs.real.max())
+    if alpha >= 0.0:
         raise ValidationError(
-            f"need dt > 0, t_final > 0 and t_final / dt <= 2e8 steps, got dt={dt!r}, "
-            f"t_final={t_final!r}; check decay rates or pass explicit t_final/dt"
+            f"network has a non-decaying mode (max Re eigenvalue {alpha:.3e}); "
+            "the relaxation oracle requires a decaying system"
+        )
+    # alpha < 0, so the largest |eigenvalue| is positive
+    dt = 0.1 / float(np.abs(eigs).max())
+    t_final = 60.0 / abs(alpha)
+    # dt is 0 when the fastest rate overflows; nan steps fail the check too
+    steps = t_final / dt if dt else math.inf
+    if not steps <= 200_000_000:
+        raise ValidationError(
+            f"relaxation budget needs {steps:.3e} RK4 steps, more than 2e8; check decay rates"
         )
 
-    amps, _, residual = _rk4_fixed_point(matrix, forcing, dt, math.ceil(t_final / dt), tol)
+    amps, _, residual = _rk4_fixed_point(matrix, forcing, dt, math.ceil(steps), tol)
     if not residual <= tol:
         raise ConvergenceFailure(residual)
     return SteadyState(amplitudes=amps)

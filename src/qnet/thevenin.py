@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
-from .network import LoadSpec, NetworkSpec, _grid, _integer, _load_values
+from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch
+from .network import LoadSpec, NetworkSpec, _grid, _load_values
 from .power import _powers
 from .steady import (
     RESIDUAL_RTOL, _Factorization, _load_term, _residual_bound, drive_vector, effective_matrix,
@@ -49,6 +49,8 @@ DARK_RTOL = 1e-14
 # and so what each of its workers holds. The cost per point hardly depends
 # on it; larger chunks only fragment the worker threads' heaps.
 GRID_CHUNK_BYTES = 4 * 2**20
+# Points per axis of grid_check's brute-force grid.
+GRID_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -370,25 +372,22 @@ def _refine_axis(evaluate, lo, hi):
     return mid, evaluate([mid])[0]
 
 
-def grid_check(spec, n_points=200) -> GridCheck:
+def grid_check(spec) -> GridCheck:
     """Verify the matched-load prediction against brute-force search.
 
-    Scans an n_points x n_points grid of load settings centered on the
+    Scans a GRID_POINTS x GRID_POINTS grid of load settings centered on the
     prediction, delta_omega within +-0.1 * gamma_th and gamma_load within
     (1 +- 0.2) * gamma_th, locates the argmax of the full-solve delivered
     power, then refines along each axis to pin the optimum far below grid
     resolution. Every brute-force number, refinement included, comes from
     load_power_map's full solves, none from solve_amplitudes.
     """
-    n_points = _integer("n_points", n_points)
-    if n_points < 2:
-        raise ValidationError(f"need n_points >= 2, got {n_points}")
     predicted = matched_load(spec)
     g_th = predicted.gamma_load
     deltas = np.linspace(
-        predicted.delta_omega - 0.1 * g_th, predicted.delta_omega + 0.1 * g_th, n_points
+        predicted.delta_omega - 0.1 * g_th, predicted.delta_omega + 0.1 * g_th, GRID_POINTS
     )
-    gammas = np.linspace(g_th * (1.0 - 0.2), g_th * (1.0 + 0.2), n_points)
+    gammas = np.linspace(g_th * (1.0 - 0.2), g_th * (1.0 + 0.2), GRID_POINTS)
     power = load_power_map(spec, deltas, gammas)
     i, j = np.unravel_index(int(np.argmax(power)), power.shape)
     cell_delta = deltas[1] - deltas[0]
@@ -401,12 +400,12 @@ def grid_check(spec, n_points=200) -> GridCheck:
     refined_delta, _ = _refine_axis(
         lambda d: load_power_map(spec, d, gammas[j : j + 1])[:, 0],
         deltas[max(i - 1, 0)],
-        deltas[min(i + 1, n_points - 1)],
+        deltas[min(i + 1, GRID_POINTS - 1)],
     )
     refined_gamma, p_refined = _refine_axis(
         lambda g: load_power_map(spec, [refined_delta], g)[0],
         gammas[max(j - 1, 0)],
-        gammas[min(j + 1, n_points - 1)],
+        gammas[min(j + 1, GRID_POINTS - 1)],
     )
 
     return GridCheck(

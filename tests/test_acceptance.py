@@ -59,7 +59,7 @@ def test_criterion_3_matching_optimality(corpus):
     worst_grid = worst_refined = 0.0
     all_within = True
     for spec in corpus:
-        check = qnet.grid_check(spec, n_points=200)
+        check = qnet.grid_check(spec)
         p_max = check.predicted.p_max
         worst_grid = max(worst_grid, abs(check.p_grid_max - p_max) / p_max)
         worst_refined = max(worst_refined, abs(check.p_refined - p_max) / p_max)

@@ -1,4 +1,6 @@
 """The package namespace: every module's public names, and only those."""
+import inspect
+
 import pytest
 
 import qnet
@@ -38,3 +40,8 @@ def test_star_import_binds_every_public_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(qnet, "no_such_name")
+
+
+def test_oracles_take_the_spec_alone():
+    for oracle in (qnet.time_domain_steady_state, qnet.grid_check):
+        assert list(inspect.signature(oracle).parameters) == ["spec"], oracle.__name__

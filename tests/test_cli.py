@@ -257,6 +257,15 @@ class TestMatch:
         assert payload["grid_check"]["within_one_cell"] is True
         assert payload["grid_check"]["p_refined_rel_error"] < 1e-10
 
+    def test_grid_check_on_an_undriven_network(self, capsys, tmp_path):
+        # no power flows anywhere, so the refined optimum matches p_max = 0 exactly
+        path = bundled_with(tmp_path, "drive", "rabi_re", 0.0)
+        code, out, _ = run(capsys, "match", "--config", path, "--grid-check")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["p_max"] == 0.0
+        assert payload["grid_check"]["p_refined_rel_error"] == 0.0
+
     def test_feasible_is_written_true(self, capsys):
         code, out, _ = run(capsys, "match", "--config", str(CONFIGS / "two_node.json"))
         assert code == 0
@@ -361,6 +370,8 @@ class TestSweep:
             SweepRequest(path, "omega", 1.0, 2.0, 2.5)
         with pytest.raises(qnet.ValidationError, match="need a finite max - min"):
             SweepRequest(path, "omega", -1.7e308, 1.7e308, 5)
+        with pytest.raises(qnet.ValidationError, match="log_scale must be a bool, got 'no'"):
+            SweepRequest(path, "gamma_load", 0.1, 5.0, 10, log_scale="no")
 
     def test_run_sweep_returns_csv_text(self, tmp_path):
         path = two_node_config(tmp_path)

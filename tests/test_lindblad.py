@@ -1,5 +1,7 @@
 """Density-matrix ground truth: generator structure, steady states,
 moments, and cross-validation of the amplitude route."""
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -204,6 +206,11 @@ class TestOracleReport:
         assert report["p_r_rel_discrepancy"] < 1e-3
         assert report["p_l_rel_discrepancy"] < 1e-3
         assert report["balance_rel_residual"] < 1e-3
+
+    def test_report_echoes_a_numpy_cutoff_as_an_int(self):
+        report = qnet.oracle_report(_two_node(), np.int64(2))
+        assert type(report["n_max"]) is int
+        json.dumps(report)
 
     def test_capacity_propagates(self):
         with pytest.raises(CapacityError):

@@ -71,7 +71,7 @@ class TestCounts:
     def test_grid_check(self, counts):
         spec = two_node_resonant()
         assert counts == {"validate": 1, "lu": 0}
-        qnet.grid_check(spec, n_points=20)
+        qnet.grid_check(spec)
         assert counts == {"validate": 1, "lu": 1}
 
     def test_cold_match_with_grid_check(self, counts, capsys):
@@ -104,7 +104,7 @@ class TestCounts:
         qnet.thevenin_equivalent(spec)
         qnet.matched_load(spec)
         qnet.load_sweep(spec, [0.5, 1.0])
-        qnet.grid_check(spec, n_points=20)
+        qnet.grid_check(spec)
         qnet.thevenin_by_elimination(spec)
         qnet.time_domain_steady_state(spec)
         qnet.load_power_map(spec, [0.0], [1.0])

@@ -167,6 +167,16 @@ class TestCorrelatorForm:
         with pytest.raises(InvalidMoments):
             qnet.general_power_from_correlators(spec, first, second)
 
+    @pytest.mark.parametrize(
+        "first, second, name",
+        [([np.inf, 0.0], np.zeros((2, 2)), "first"), ([0.0, 0.0], np.full((2, 2), np.inf), "second")],
+        ids=["inf-first-moment", "inf-second-moments"],
+    )
+    def test_infinite_moments_rejected(self, first, second, name):
+        spec = qnet.load_config(CONFIGS / "two_node.json")
+        with pytest.raises(InvalidMoments, match=f"{name} moments must be finite"):
+            qnet.general_power_from_correlators(spec, first, second)
+
 
 class TestEfficiency:
     def test_scale_invariance(self):

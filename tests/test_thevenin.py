@@ -344,16 +344,12 @@ class TestGridOracle:
         assert check.within_one_cell
         assert abs(check.p_refined - check.predicted.p_max) <= 1e-10 * check.predicted.p_max
 
-    @pytest.mark.parametrize(
-        "n_points, message",
-        [(0, "need n_points >= 2"), (1, "need n_points >= 2"), (np.nan, "n_points must be an integer, got nan"),
-         (2.5, "n_points must be an integer, got 2.5"), (3.0, "n_points must be an integer"),
-         ("a", "n_points must be an integer, got 'a'")],
-        ids=["0", "1", "nan", "2.5", "3.0", "a"],
-    )
-    def test_grid_check_needs_two_points_per_axis(self, n_points, message):
-        with pytest.raises(ValidationError, match=message):
-            qnet.grid_check(make_random_network(2, 17), n_points=n_points)
+    def test_grid_check_scans_a_fixed_200_by_200_grid(self):
+        check = qnet.grid_check(make_random_network(2, 17))
+        g_th = check.predicted.gamma_load
+        assert qnet.thevenin.GRID_POINTS == 200
+        assert check.cell_delta == pytest.approx(0.2 * g_th / 199, rel=1e-9)
+        assert check.cell_gamma == pytest.approx(0.4 * g_th / 199, rel=1e-9)
 
 
 def _points_per_chunk(n):
