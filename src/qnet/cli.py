@@ -26,7 +26,7 @@ from .errors import CapacityError, QnetError, UnphysicalMatch, ValidationError
 from .lindblad import oracle_report
 from .network import DriveSpec, LoadSpec, build_chain, build_random_all_to_all, load_config, save_config
 from .network import _finite, _integer, _scalar
-from .power import power_report
+from .power import _rel, power_report
 from .steady import solve_amplitudes, spectral_density_grid
 from .thevenin import grid_check, load_sweep, matched_load, thevenin_by_elimination, thevenin_equivalent
 
@@ -52,11 +52,6 @@ def _json(obj) -> str:
 
 def _complex_dict(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _rel(value, reference) -> float:
-    """|value - reference| relative to |reference|; 0 when both are 0."""
-    return abs(value - reference) / max(abs(reference), 1e-300)
 
 
 def _cmd_solve(args) -> int:

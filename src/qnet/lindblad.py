@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
 from .network import NetworkSpec, _integer
-from .power import general_power_from_correlators, power_report
+from .power import _rel, general_power_from_correlators, power_report
 from .steady import SteadyState, solve_amplitudes
 
 __all__ = [
@@ -248,9 +248,6 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
     p_in_oracle = power_report(spec, SteadyState(amplitudes=amps)).p_in
     p_out = p_r_oracle + p_l_oracle
 
-    def rel(a, b):
-        return abs(a - b) / max(abs(b), 1e-300)
-
     return {
         "n_max": cfg.n_max,
         "dim": cfg.dim,
@@ -260,8 +257,8 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
         "p_l_oracle": p_l_oracle,
         "p_r_closed": closed.p_r,
         "p_l_closed": closed.p_l,
-        "p_r_rel_discrepancy": rel(p_r_oracle, closed.p_r),
-        "p_l_rel_discrepancy": rel(p_l_oracle, closed.p_l),
+        "p_r_rel_discrepancy": _rel(p_r_oracle, closed.p_r),
+        "p_l_rel_discrepancy": _rel(p_l_oracle, closed.p_l),
         "p_in_oracle": p_in_oracle,
-        "balance_rel_residual": rel(p_in_oracle, p_out),
+        "balance_rel_residual": _rel(p_in_oracle, p_out),
     }

@@ -118,6 +118,11 @@ def matched_efficiency_two_node(spec: NetworkSpec) -> float:
     return float(g_l / (factor * gamma[0] + gamma[1] + g_l))
 
 
+def _rel(value, reference) -> float:
+    """|value - reference| relative to |reference|; 0 when both are 0."""
+    return abs(value - reference) / max(abs(reference), 1e-300)
+
+
 def _powers(spec: NetworkSpec, amps, gamma_load):
     """p_in, p_r, p_l, eta and the balance residual of PowerReport, as numpy
     floats for one state (amps of shape (N,), gamma_load a number) or arrays

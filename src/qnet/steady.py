@@ -72,14 +72,17 @@ def _load_term(delta_omega, gamma_load):
 def effective_matrix(spec: NetworkSpec, loaded: bool = True) -> np.ndarray:
     """The steady-state matrix of a spec in one fresh array:
     i(omega_d - w_nn) - gamma_n/2 on the diagonal, -i*w_nm off it, and the
-    load term h_L added at [L, L] when `loaded`."""
+    load term h_L added at [L, L] when `loaded`. Raises SingularNetwork
+    when a diagonal entry overflows double precision; the couplings are
+    finite, and so is every entry off the diagonal."""
     matrix = spec.couplings * -1j
-    diagonal = 1j * (spec.drive.omega_d - spec.node_frequencies) - spec.intrinsic_decays / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = 1j * (spec.drive.omega_d - spec.node_frequencies) - spec.intrinsic_decays / 2.0
+        if loaded:
+            diagonal[spec.load.node] += _load_term(spec.load.delta_omega, spec.load.gamma_load)
+    if not np.isfinite(diagonal).all():
+        raise SingularNetwork("steady-state matrix entries overflow double precision")
     np.fill_diagonal(matrix, diagonal)
-    if loaded:
-        matrix[spec.load.node, spec.load.node] += _load_term(
-            spec.load.delta_omega, spec.load.gamma_load
-        )
     return matrix
 
 

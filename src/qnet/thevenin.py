@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,12 +259,15 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     or whose power overflows raises SingularNetwork.
 
     The grid is solved in chunks of at most GRID_CHUNK_BYTES of matrices
-    (one matrix when a single one is larger), spread over the usable
-    CPUs. The calling thread takes one share and every other share gets a
-    thread, so a grid of one chunk starts none. Each point's solve is the
-    same whichever thread makes it, so the map does not depend on the
-    split; when chunks fail, the first failing one in grid order raises.
+    (one matrix when a single one is larger), cut into one contiguous share
+    of chunks per usable CPU. The calling thread solves the first share and
+    a thread pool the others, so a grid of one chunk starts no thread. Each
+    point's solve is the same whichever thread makes it, so the map does
+    not depend on the split; the shares are collected in grid order, so
+    when chunks fail, the first failing one in grid order raises.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     delta_values, gamma_values = _load_values(delta_values, gamma_values)
     delta_values = _grid("load delta_omega", delta_values)
     gamma_values = _grid("load gamma_load", gamma_values)
@@ -280,50 +282,38 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     chunk = max(1, GRID_CHUNK_BYTES // base.nbytes)
     starts = range(0, h_l.size, chunk)
     workers = max(1, min(_usable_cpus(), len(starts)))
-    errors = [None] * len(starts)
 
-    def solve_chunks(first):
-        """Solve chunks first, first + workers, ... in turn, stopping at
-        the first failure, whose error is kept at its chunk's index."""
-        index = first
-        try:
-            # One stack of full matrices per worker; only the [L, L]
-            # entries differ between grid points, so only they are
-            # rewritten per chunk.
-            stack = np.empty((min(chunk, h_l.size),) + base.shape, dtype=complex)
-            stack[...] = base
-            # trailing singleton keeps batched solve in matrix mode on numpy 2.x
-            rhs_stack = np.broadcast_to(rhs[:, None], (stack.shape[0], rhs.size, 1))
-            # errstate is per thread, so each worker sets its own
-            with np.errstate(all="ignore"):
-                for index in range(first, len(starts), workers):
-                    part = h_l[starts[index] : starts[index] + chunk]
-                    mats = stack[: part.size]
-                    mats[:, load, load] = base[load, load] + part
-                    try:
-                        sols = np.linalg.solve(mats, rhs_stack[: part.size])
-                    except np.linalg.LinAlgError as exc:
-                        raise SingularNetwork(str(exc)) from None
-                    residual = np.linalg.norm((mats @ sols)[..., 0] - rhs, axis=1).max()
-                    if not residual <= bound:
-                        raise SingularNetwork(f"grid solve residual {residual:.3e} exceeds contract")
-                    amp_load[starts[index] : starts[index] + chunk] = sols[:, load, 0]
-        except Exception as exc:  # raised again below, by the calling thread
-            errors[index] = exc
+    def solve_share(share):
+        """Solve the chunks that start at the indices in `share`; the first failure raises."""
+        # One stack of full matrices per share; only the [L, L] entries
+        # differ between grid points, so only they are rewritten per chunk.
+        stack = np.empty((min(chunk, h_l.size),) + base.shape, dtype=complex)
+        stack[...] = base
+        # trailing singleton keeps batched solve in matrix mode on numpy 2.x
+        rhs_stack = np.broadcast_to(rhs[:, None], (stack.shape[0], rhs.size, 1))
+        # errstate is per thread, so each share sets its own
+        with np.errstate(all="ignore"):
+            for start in share:
+                part = h_l[start : start + chunk]
+                mats = stack[: part.size]
+                mats[:, load, load] = base[load, load] + part
+                try:
+                    sols = np.linalg.solve(mats, rhs_stack[: part.size])
+                except np.linalg.LinAlgError as exc:
+                    raise SingularNetwork(str(exc)) from None
+                residual = np.linalg.norm((mats @ sols)[..., 0] - rhs, axis=1).max()
+                if not residual <= bound:
+                    raise SingularNetwork(f"grid solve residual {residual:.3e} exceeds contract")
+                amp_load[start : start + chunk] = sols[:, load, 0]
 
-    threads = []
-    try:
-        for first in range(1, workers):
-            thread = threading.Thread(target=solve_chunks, args=(first,))
-            thread.start()
-            threads.append(thread)
-        solve_chunks(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
+    shares = np.array_split(starts, workers)
+    # the pool starts a thread per submitted share only, none for one share;
+    # leaving the block joins every pool thread, whether or not a share failed
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        futures = [pool.submit(solve_share, share) for share in shares[1:]]
+        solve_share(shares[0])
+        for future in futures:
+            future.result()
 
     with np.errstate(all="ignore"):
         power = spec.drive.omega_d * gamma_values[None, :] * np.abs(
@@ -380,7 +370,9 @@ def grid_check(spec) -> GridCheck:
     (1 +- 0.2) * gamma_th, locates the argmax of the full-solve delivered
     power, then refines along each axis to pin the optimum far below grid
     resolution. Every brute-force number, refinement included, comes from
-    load_power_map's full solves, none from solve_amplitudes.
+    load_power_map's full solves, none from solve_amplitudes. When
+    p_max = 0, a map that is zero everywhere counts as within one cell,
+    since every cell is then a maximum, not only the first that argmax picks.
     """
     predicted = matched_load(spec)
     g_th = predicted.gamma_load
@@ -395,7 +387,7 @@ def grid_check(spec) -> GridCheck:
     within = (
         abs(deltas[i] - predicted.delta_omega) <= cell_delta * (1 + 1e-12)
         and abs(gammas[j] - predicted.gamma_load) <= cell_gamma * (1 + 1e-12)
-    )
+    ) or (predicted.p_max == 0 and not power.any())
 
     refined_delta, _ = _refine_axis(
         lambda d: load_power_map(spec, d, gammas[j : j + 1])[:, 0],

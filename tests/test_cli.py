@@ -211,6 +211,27 @@ class TestSolve:
         assert err.startswith("qnet: ") and err.count("\n") == 1
         assert "overflow" in err or "residual" in err
 
+    @pytest.mark.parametrize(
+        "omegas, omega_d, delta_omega",
+        [((-1.7e308, 1000.0), 1.7e308, 0.0), ((0.0, 0.0), 1e308, 1e308)],
+        ids=["detuning", "load-shift"],
+    )
+    def test_overflowing_matrix_entry_exits_3(self, capsys, tmp_path, omegas, omega_d, delta_omega):
+        data = json.loads((CONFIGS / "two_node.json").read_text())
+        for node, omega in zip(data["nodes"], omegas):
+            node["omega"] = omega
+        data["drive"]["omega_d"] = omega_d
+        data["load"]["delta_omega"] = delta_omega
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+        assert (code, out) == (3, "")
+        assert err == "qnet: steady-state matrix entries overflow double precision\n"
+        if delta_omega:  # the load-free matrix is finite, and thevenin never reads the load
+            code, out, _ = run_quietly(capsys, "thevenin", "--config", str(path))
+            assert code == 0
+            strict_json(out)
+
     def test_overflowing_load_decay_config(self, capsys, tmp_path):
         # gamma_load = 1e308 is finite input: every command that reads the
         # load exits 3, and thevenin and match, which never read it, succeed

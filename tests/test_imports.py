@@ -2,13 +2,15 @@
 
 scipy costs more start-up time than numpy and all of qnet together, so only
 the routes that factor a matrix (scipy.linalg) or build a Liouvillian
-(scipy.sparse) import it. The grid map runs its workers on plain threads,
-so no command loads a pool module (scipy.linalg loads the
-concurrent.futures package, but not its executors). The one rule that keeps
-it so: no module in src/qnet imports scipy at module level, only inside the
-functions that call it. A static check reads that rule off the source; every
-other check runs in a fresh interpreter, because this test process imported
-scipy long ago.
+(scipy.sparse) import it. The one rule that keeps it so: no module in
+src/qnet imports scipy at module level, only inside the functions that call
+it. The grid map is the one place that starts threads: it alone imports a
+thread module, concurrent.futures' ThreadPoolExecutor, inside
+load_power_map. scipy.linalg already loads the concurrent.futures package,
+so the pool costs a grid check under a millisecond more, and `import
+qnet.cli` and the commands that make no grid map load no pool module. Static
+checks read both rules off the source; every other check runs in a fresh
+interpreter, because this test process imported scipy long ago.
 """
 import ast
 import json
@@ -59,16 +61,18 @@ def executor_modules(modules):
     return sorted(POOL_MODULES & modules)
 
 
-def import_time_imports(tree):
-    """Import statements that run when the module is imported: every one
-    outside a function body."""
-    stack = list(tree.body)
+def imports_by_function(tree):
+    """(function, node) for every import statement of a module, where
+    function names the top-level function or method whose body holds it,
+    and is None for one that runs when the module is imported."""
+    stack = [(None, node) for node in tree.body]
     while stack:
-        node = stack.pop()
+        function, node = stack.pop()
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            stack.extend(ast.iter_child_nodes(node))
+            yield function, node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and function is None:
+            function = node.name
+        stack.extend((function, child) for child in ast.iter_child_nodes(node))
 
 
 def imported_modules(node):
@@ -77,15 +81,35 @@ def imported_modules(node):
     return [node.module] if node.level == 0 else []
 
 
+def package_imports():
+    """(file name, function, line, module) for every module that an import
+    statement in src/qnet names, function as imports_by_function gives it."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, node in imports_by_function(ast.parse(path.read_text(), str(path))):
+            for name in imported_modules(node):
+                yield path.name, function, node.lineno, name
+
+
+def is_in(name, *packages):
+    return any(name == package or name.startswith(package + ".") for package in packages)
+
+
 def test_no_module_imports_scipy_at_module_level():
     offenders = [
-        f"{path.name}:{node.lineno} imports {name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in import_time_imports(ast.parse(path.read_text(), str(path)))
-        for name in imported_modules(node)
-        if name == "scipy" or name.startswith("scipy.")
+        f"{file}:{line} imports {name}"
+        for file, function, line, name in package_imports()
+        if function is None and is_in(name, "scipy")
     ]
     assert offenders == []
+
+
+def test_only_the_grid_map_imports_a_thread_module():
+    places = {
+        f"{file}:{function}"
+        for file, function, _, name in package_imports()
+        if is_in(name, "threading", "_thread", "concurrent", "multiprocessing")
+    }
+    assert places == {"thevenin.py:load_power_map"}
 
 
 def test_import_cli_loads_no_scipy():
@@ -127,7 +151,7 @@ def test_solve_loads_dense_lapack_only(tmp_path):
     assert executor_modules(modules) == []
 
 
-def test_match_with_a_threaded_grid_check_loads_no_executor(tmp_path):
+def test_match_with_a_threaded_grid_check_loads_only_the_thread_pool(tmp_path):
     # a 5-node grid map spans several chunks, so it starts worker threads
     net, out = str(tmp_path / "net.json"), tmp_path / "match.json"
     code, modules = fresh_run(
@@ -136,7 +160,7 @@ def test_match_with_a_threaded_grid_check_loads_no_executor(tmp_path):
         f"code = qnet.cli.main(['match', '--config', {net!r}, '--grid-check', '--out', {str(out)!r}])"
     )
     assert code == 0
-    assert executor_modules(modules) == []
+    assert executor_modules(modules) == ["concurrent.futures.thread"]
     assert json.loads(out.read_text())["grid_check"]["within_one_cell"] is True
 
 

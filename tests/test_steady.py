@@ -1,6 +1,7 @@
 """Effective matrix construction, direct solve, spectral density and the
 time-domain relaxation oracle."""
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -57,6 +58,23 @@ class TestEffectiveMatrix:
         expected[1, 1] = h_l
         assert np.array_equal(load_part, expected)
 
+    @pytest.mark.parametrize(
+        "frequencies, omega_d, delta_omega",
+        [([-1.7e308, 1000.0], 1.7e308, 0.0), ([0.0, 0.0], 1e308, 1e308)],
+        ids=["detuning", "load-shift"],
+    )
+    def test_overflowing_diagonal_is_singular_without_warnings(self, frequencies, omega_d, delta_omega):
+        spec = qnet.NetworkSpec(
+            frequencies, [1.0, 1.0], [[0.0, 2.5], [2.5, 0.0]], qnet.DriveSpec(0, omega_d, 0.1),
+            qnet.LoadSpec(1, delta_omega, 2.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularNetwork, match="^steady-state matrix entries overflow"):
+                qnet.solve_amplitudes(spec)
+            if delta_omega:  # only the load entry overflows
+                assert np.isfinite(qnet.effective_matrix(spec, loaded=False)).all()
+
     def test_total_diagonal_real_parts_nonpositive(self, small_corpus):
         for spec in small_corpus:
             m = qnet.effective_matrix(spec)
@@ -94,6 +112,28 @@ class TestSolveAmplitudes:
         # |rhs|^2 overflows, so no residual could miss a bound of 1e-10 * |rhs|
         with pytest.raises(SingularNetwork, match="residual bound .* overflows"):
             qnet.solve_amplitudes(_two_node(omega_d=1001.0, rabi=1e300))
+
+    @pytest.mark.parametrize("bad_solves", [1, 2], ids=["repaired", "singular"])
+    def test_one_refinement_step_then_singular(self, monkeypatch, bad_solves):
+        # a solve off by 1e-6 |a| misses the contract; the one refinement
+        # step repairs a miss of the first solve, not one of every solve
+        spec = make_random_network(5, 3)
+        exact = qnet.solve_amplitudes(spec).amplitudes
+        solve = steady._Factorization.solve
+        calls = []
+
+        def off_solve(self, rhs):
+            calls.append(rhs)
+            offset = 1e-6 * np.abs(exact).max() if len(calls) <= bad_solves else 0.0
+            return solve(self, rhs) + offset
+
+        monkeypatch.setattr(steady._Factorization, "solve", off_solve)
+        if bad_solves == 1:
+            assert np.allclose(qnet.solve_amplitudes(spec).amplitudes, exact, rtol=1e-10, atol=0.0)
+        else:
+            with pytest.raises(SingularNetwork, match=r"^residual \S+ exceeds 1e-10 \* \|rhs\|$"):
+                qnet.solve_amplitudes(spec)
+        assert len(calls) == 2
 
     def test_lossless_dark_mode_is_singular(self):
         # drive frequency exactly on a lossless eigenmode

@@ -256,6 +256,17 @@ class TestLoadSweep:
         with pytest.raises(SingularNetwork, match=r"^power overflows at gamma_load = 1\.0: p_in=inf, p_r=inf"):
             qnet.load_sweep(spec, [1.0, 2.0])
 
+    def test_residual_beyond_the_contract_is_singular(self, monkeypatch):
+        # resolvent columns off by 1e-6 give amplitudes that miss the contract
+        solve = qnet.steady._Factorization.solve
+
+        def off_solve(self, rhs):
+            return solve(self, rhs) * (1 + 1e-6)
+
+        monkeypatch.setattr(qnet.steady._Factorization, "solve", off_solve)
+        with pytest.raises(SingularNetwork, match=r"^load sweep residual \S+ exceeds 1e-10 \* \|rhs\|$"):
+            qnet.load_sweep(make_random_network(5, 0), [0.5, 2.0])
+
 
 class TestGridOracle:
     def test_grid_search_confirms_prediction(self):
@@ -344,6 +355,13 @@ class TestGridOracle:
         assert check.within_one_cell
         assert abs(check.p_refined - check.predicted.p_max) <= 1e-10 * check.predicted.p_max
 
+    def test_grid_check_on_an_undriven_network_is_within_one_cell(self):
+        # every cell delivers the predicted 0, so argmax's first cell is a maximum too
+        check = qnet.grid_check(make_random_network(5, 11).with_drive(rabi=0.0))
+        assert check.predicted.p_max == 0.0
+        assert check.p_grid_max == 0.0
+        assert check.within_one_cell
+
     def test_grid_check_scans_a_fixed_200_by_200_grid(self):
         check = qnet.grid_check(make_random_network(2, 17))
         g_th = check.predicted.gamma_load
@@ -421,6 +439,28 @@ class TestGridMapChunks:
         with pytest.raises(SingularNetwork, match="^chunk 1$"):
             qnet.load_power_map(spec, deltas, gammas)
         assert threading.active_count() == threads_before
+
+    def test_residual_miss_in_a_pool_share_is_singular(self, monkeypatch):
+        # two shares of three chunks; chunk 4 fails in the pool's share, so
+        # its error reaches the caller through a Future
+        monkeypatch.setattr(qnet.thevenin, "_usable_cpus", lambda: 2)
+        spec = make_random_network(50, 5)
+        load = spec.load.node
+        base_imag = qnet.effective_matrix(spec, loaded=False)[load, load].imag
+        gammas = np.ones(_points_per_chunk(50))  # chunk k is grid row k
+        solve = np.linalg.solve
+        failed_on = []
+
+        def off_solve(a, b):
+            if round(a[0, load, load].imag - base_imag) != 4:
+                return solve(a, b)
+            failed_on.append(threading.current_thread())
+            return solve(a, b) * (1 + 1e-6)
+
+        monkeypatch.setattr(np.linalg, "solve", off_solve)
+        with pytest.raises(SingularNetwork, match=r"^grid solve residual \S+ exceeds contract$"):
+            qnet.load_power_map(spec, np.arange(6.0), gammas)
+        assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
 
     def test_map_memory_is_bounded_by_the_chunk_bytes(self):
         # a stack of all 100 matrices of this grid would take 64 MB
