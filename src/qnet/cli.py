@@ -9,7 +9,8 @@
     qnet oracle   --config net.json [--n-max N] [--out report.json]
 
 Exit codes: 0 success, 2 bad input, 3 singular network, decoupled load or
-a result that overflows, 4 infeasible match, 5 Fock-space capacity exceeded.
+a result that overflows, 4 infeasible match (gamma_th <= 1e-14 * |h_th|),
+5 Fock-space capacity exceeded.
 Outputs are deterministic: identical invocations produce identical bytes.
 """
 from __future__ import annotations

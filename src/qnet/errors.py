@@ -28,12 +28,12 @@ class PivotBreakdown(QnetError):
 
 
 class UnphysicalMatch(QnetError):
-    """No passive load attains the power optimum (effective network decay
-    toward the load is not strictly positive)."""
+    """No passive load attains the power optimum: the effective network
+    decay toward the load, gamma_th, is not above floor = 1e-14 * |h_th|."""
 
-    def __init__(self, gamma_th):
+    def __init__(self, gamma_th, floor):
         self.gamma_th = gamma_th
-        super().__init__(f"matched load infeasible: gamma_th = {gamma_th!r} <= 0")
+        super().__init__(f"gamma_th = {gamma_th!r} <= 1e-14 * |h_th| = {floor!r}")
 
 
 class ConvergenceFailure(QnetError):

@@ -245,16 +245,16 @@ def spectral_density_grid(spec, grid) -> np.ndarray:
     spectral_density, which inverts the matrix at one point, is the
     independent check of this route.
 
-    Both the matrix and the grid are shifted by the mean node frequency c
-    first. The eigenvalues then carry an absolute error of eps times the
-    spread of the frequencies, not eps times the frequencies themselves,
-    which would swamp losses many decades below them. Near a mode the
-    relative error still grows as about 6e-15 / offset, the distance from
-    the mode, so agreement with spectral_density to 1e-10 holds only at
-    offsets of about 1e-4 or more.
+    Both the matrix and the grid are shifted first by c = min/2 + max/2 of
+    the node frequencies, which cannot overflow. The eigenvalues then
+    carry an absolute error of eps times the spread of the frequencies,
+    not eps times the frequencies themselves, which would swamp losses
+    many decades below them. Near a mode the relative error still grows as
+    about 6e-15 / offset, the distance from the mode, so agreement with
+    spectral_density to 1e-10 holds only at offsets of about 1e-4 or more.
     """
     matrix = _undriven_matrix(spec)
-    center = float(np.mean(spec.node_frequencies))
+    center = float(spec.node_frequencies.min() / 2 + spec.node_frequencies.max() / 2)
     try:
         eigs = np.linalg.eigvals(matrix - center * np.eye(spec.n_nodes))
     except np.linalg.LinAlgError as exc:

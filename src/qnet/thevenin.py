@@ -44,9 +44,8 @@ __all__ = [
 # Resolvent elements smaller than this (relative to the largest element of
 # the same resolvent column) count as a decoupled load node.
 DARK_RTOL = 1e-14
-# Bytes of full matrices that one batched solve of load_power_map holds,
-# and so what each of its workers holds. The cost per point hardly depends
-# on it; larger chunks only fragment the worker threads' heaps.
+# Bytes of full matrices per batched solve of load_power_map: the map holds
+# at most workers x this, whatever the grid; the cost per point hardly moves.
 GRID_CHUNK_BYTES = 4 * 2**20
 # Points per axis of grid_check's brute-force grid.
 GRID_POINTS = 200
@@ -172,13 +171,14 @@ def matched_load(spec: NetworkSpec) -> MatchedLoad:
     The optimum sits at delta_omega = -delta_omega_th, gamma_load =
     gamma_th (equivalently h_L = conj(h_th)) and delivers
     omega_d * |omega_th|^2 / gamma_th. Depends only on network parameters,
-    never on the drive amplitude. Raises UnphysicalMatch when gamma_th is
-    not strictly positive (no passive load attains the optimum).
+    never on the drive amplitude. Raises UnphysicalMatch when gamma_th <=
+    1e-14 * |h_th|, zero up to rounding (no passive load attains the optimum).
     """
     th = thevenin_equivalent(spec)
     gamma_th = th.gamma_th
-    if gamma_th <= 0.0 or gamma_th <= 1e-14 * abs(th.h_th):
-        raise UnphysicalMatch(gamma_th)
+    floor = 1e-14 * abs(th.h_th)
+    if gamma_th <= 0.0 or gamma_th <= floor:
+        raise UnphysicalMatch(gamma_th, floor)
     try:
         p_max = spec.drive.omega_d * abs(th.omega_th) ** 2 / gamma_th
     except OverflowError:  # float ** raises where float * returns inf
@@ -259,12 +259,12 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     or whose power overflows raises SingularNetwork.
 
     The grid is solved in chunks of at most GRID_CHUNK_BYTES of matrices
-    (one matrix when a single one is larger), cut into one contiguous share
-    of chunks per usable CPU. The calling thread solves the first share and
-    a thread pool the others, so a grid of one chunk starts no thread. Each
-    point's solve is the same whichever thread makes it, so the map does
-    not depend on the split; the shares are collected in grid order, so
-    when chunks fail, the first failing one in grid order raises.
+    (one matrix when a single one is larger). A thread pool of one worker
+    per usable CPU, or per chunk if fewer, maps them in grid order; one
+    chunk or one CPU runs on the calling thread and starts no thread. So
+    the map holds at most workers x GRID_CHUNK_BYTES of matrices, raises
+    the first failing chunk in grid order, stops at the chunks already
+    running, and returns the same bits as a serial loop.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -281,39 +281,37 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     amp_load = np.empty(h_l.size, dtype=complex)
     chunk = max(1, GRID_CHUNK_BYTES // base.nbytes)
     starts = range(0, h_l.size, chunk)
-    workers = max(1, min(_usable_cpus(), len(starts)))
+    workers = min(_usable_cpus(), len(starts))
+    # one stack of full matrices per worker, lent to one chunk at a time and
+    # made on this thread: stacks freed by pool threads stay in their heaps
+    stacks = [np.repeat(base[None], min(chunk, h_l.size), axis=0) for _ in range(workers)]
 
-    def solve_share(share):
-        """Solve the chunks that start at the indices in `share`; the first failure raises."""
-        # One stack of full matrices per share; only the [L, L] entries
-        # differ between grid points, so only they are rewritten per chunk.
-        stack = np.empty((min(chunk, h_l.size),) + base.shape, dtype=complex)
-        stack[...] = base
-        # trailing singleton keeps batched solve in matrix mode on numpy 2.x
-        rhs_stack = np.broadcast_to(rhs[:, None], (stack.shape[0], rhs.size, 1))
-        # errstate is per thread, so each share sets its own
+    def solve_chunk(start):
+        part = h_l[start : start + chunk]
+        stack = stacks.pop()
+        mats = stack[: part.size]
+        mats[:, load, load] = base[load, load] + part
+        # errstate is per thread, so each chunk sets its own; the trailing
+        # singleton keeps batched solve in matrix mode on numpy 2.x
         with np.errstate(all="ignore"):
-            for start in share:
-                part = h_l[start : start + chunk]
-                mats = stack[: part.size]
-                mats[:, load, load] = base[load, load] + part
-                try:
-                    sols = np.linalg.solve(mats, rhs_stack[: part.size])
-                except np.linalg.LinAlgError as exc:
-                    raise SingularNetwork(str(exc)) from None
+            try:
+                sols = np.linalg.solve(mats, np.broadcast_to(rhs[:, None], (part.size, rhs.size, 1)))
                 residual = np.linalg.norm((mats @ sols)[..., 0] - rhs, axis=1).max()
-                if not residual <= bound:
-                    raise SingularNetwork(f"grid solve residual {residual:.3e} exceeds contract")
-                amp_load[start : start + chunk] = sols[:, load, 0]
+            except np.linalg.LinAlgError as exc:
+                raise SingularNetwork(str(exc)) from None
+            finally:
+                stacks.append(stack)
+        if not residual <= bound:
+            raise SingularNetwork(f"grid solve residual {residual:.3e} exceeds contract")
+        amp_load[start : start + chunk] = sols[:, load, 0]
 
-    shares = np.array_split(starts, workers)
-    # the pool starts a thread per submitted share only, none for one share;
-    # leaving the block joins every pool thread, whether or not a share failed
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        futures = [pool.submit(solve_share, share) for share in shares[1:]]
-        solve_share(shares[0])
-        for future in futures:
-            future.result()
+    if workers < 2:
+        list(map(solve_chunk, starts))
+    else:
+        # pool.map reads the chunks in grid order and, once one raises,
+        # cancels those not yet started; leaving the block joins the pool
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(solve_chunk, starts))
 
     with np.errstate(all="ignore"):
         power = spec.drive.omega_d * gamma_values[None, :] * np.abs(

@@ -302,6 +302,21 @@ class TestMatch:
         assert code == 4
         assert "gamma_th" in err
 
+    def test_near_lossless_network_exit_4_states_the_floor(self, capsys, tmp_path):
+        # gamma_th is positive but below the rounding floor of h_th
+        path = two_node_config(
+            tmp_path,
+            intrinsic_decays=np.array([1e-16, 0.0]),
+            couplings=np.array([[0.0, 2.5], [2.5, 0.0]]),
+            drive=qnet.DriveSpec(node=0, omega_d=1003.0, rabi=0.1),
+        )
+        code, _, err = run(capsys, "match", "--config", path)
+        assert code == 4
+        assert err == (
+            "qnet: infeasible match: "
+            "gamma_th = 6.944444444444445e-17 <= 1e-14 * |h_th| = 9.166666666666669e-15\n"
+        )
+
 
 class TestSweep:
     def test_omega_two_points(self, capsys, tmp_path):

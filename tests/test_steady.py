@@ -356,6 +356,16 @@ class TestSpectralDensity:
         with pytest.raises(SingularNetwork):
             qnet.spectral_density(spec, 1000.0)
 
+    def test_frequencies_near_the_largest_double_do_not_overflow(self):
+        # the mean of the node frequencies would overflow; the spectrum at
+        # the band center is that of the same network at 1000
+        spec = _two_node(omega_d=1.5e308, omega_0=1.5e308)
+        values = qnet.spectral_density_grid(spec, [990.0, 1.5e308])
+        assert values[0] == 0.0
+        assert values[1] == pytest.approx(
+            qnet.spectral_density_grid(_two_node(omega_d=1000.0), 1000.0)[0], rel=1e-12
+        )
+
     def test_sweep_gap_rows(self):
         spec = _one_node(omega_d=1000.0, gamma=0.0)
         values = qnet.spectral_density_grid(spec, np.linspace(999.0, 1001.0, 3))

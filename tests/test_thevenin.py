@@ -376,8 +376,9 @@ def _points_per_chunk(n):
 
 class TestGridMapChunks:
     """load_power_map splits its grid into chunks of GRID_CHUNK_BYTES of
-    matrices and spreads them over the usable CPUs. A grid row no longer
-    than one chunk runs inline, so row-by-row calls are the serial map."""
+    matrices and maps them over a pool of one thread per usable CPU. A
+    grid row no longer than one chunk runs inline, so row-by-row calls
+    are the serial map."""
 
     @pytest.mark.parametrize(
         "n, rows, cpus", [(10, 7, None), (50, 30, None), (10, 30, 8)],
@@ -410,7 +411,8 @@ class TestGridMapChunks:
             sys.setswitchinterval(interval)
         chunks = -(-power.size // _points_per_chunk(n))
         assert chunks > 1
-        assert len(started) == min(qnet.thevenin._usable_cpus(), chunks) - 1
+        workers = min(qnet.thevenin._usable_cpus(), chunks)
+        assert len(started) == (workers if workers > 1 else 0)  # one worker runs inline
         assert power.tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("deltas, gammas", [([], [1.0, 2.0]), ([0.1], [])])
@@ -440,9 +442,9 @@ class TestGridMapChunks:
             qnet.load_power_map(spec, deltas, gammas)
         assert threading.active_count() == threads_before
 
-    def test_residual_miss_in_a_pool_share_is_singular(self, monkeypatch):
-        # two shares of three chunks; chunk 4 fails in the pool's share, so
-        # its error reaches the caller through a Future
+    def test_residual_miss_in_a_pool_chunk_is_singular(self, monkeypatch):
+        # six chunks on two pool threads; chunk 4 misses the contract, so
+        # its error reaches the caller through the pool
         monkeypatch.setattr(qnet.thevenin, "_usable_cpus", lambda: 2)
         spec = make_random_network(50, 5)
         load = spec.load.node
@@ -461,6 +463,30 @@ class TestGridMapChunks:
         with pytest.raises(SingularNetwork, match=r"^grid solve residual \S+ exceeds contract$"):
             qnet.load_power_map(spec, np.arange(6.0), gammas)
         assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
+
+    def test_a_failing_chunk_stops_the_map(self, monkeypatch):
+        # 385 chunks of a 200 x 200 grid; chunk 0 fails, so only the chunks
+        # already running may be solved after it
+        monkeypatch.setattr(qnet.thevenin, "_usable_cpus", lambda: 2)
+        spec = make_random_network(50, 5)
+        load = spec.load.node
+        deltas, gammas = np.linspace(-1.0, 1.0, 200), np.linspace(0.5, 1.5, 200)
+        first = qnet.effective_matrix(spec, loaded=False)[load, load] + qnet.steady._load_term(
+            deltas[0], gammas[0]
+        )
+        solve = np.linalg.solve
+        calls = []
+
+        def failing_solve(a, b):
+            calls.append(a.shape[0])
+            if a[0, load, load] == first:
+                raise np.linalg.LinAlgError("chunk 0")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        with pytest.raises(SingularNetwork, match="^chunk 0$"):
+            qnet.load_power_map(spec, deltas, gammas)
+        assert len(calls) <= 2 * 2
 
     def test_map_memory_is_bounded_by_the_chunk_bytes(self):
         # a stack of all 100 matrices of this grid would take 64 MB
