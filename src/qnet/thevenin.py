@@ -302,7 +302,9 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
             finally:
                 stacks.append(stack)
         if not residual <= bound:
-            raise SingularNetwork(f"grid solve residual {residual:.3e} exceeds contract")
+            raise SingularNetwork(
+                f"grid solve residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|"
+            )
         amp_load[start : start + chunk] = sols[:, load, 0]
 
     if workers < 2:

@@ -578,6 +578,30 @@ class TestOutOfMemory:
         assert not out_path.exists()
 
 
+class TestModuleEntryPoint:
+    """`python -m qnet.cli`, which runs main_entry as the `qnet` script does,
+    in a child interpreter."""
+
+    def run_module(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "qnet.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_gen_and_nan_config_exit_codes(self, tmp_path):
+        out_path = tmp_path / "chain.json"
+        done = self.run_module("gen", "chain", "--nodes", "3", "--out", str(out_path))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert qnet.load_config(out_path).n_nodes == 3
+
+        bad = bundled_with(tmp_path, "nodes", "omega", float("nan"))
+        done = self.run_module("solve", "--config", bad)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("qnet: input error:")
+        assert "Traceback" not in done.stderr
+
+
 class TestConsistencyAcrossCommands:
     def test_solve_at_matched_load_reproduces_match(self, capsys, tmp_path):
         path = two_node_config(tmp_path)

@@ -99,6 +99,87 @@ class TestGeneratorStructure:
         liou = qnet.build_liouvillian(_one_node(), qnet.FockConfig(n_max=2, nodes=1))
         assert sp.issparse(liou)
 
+    def test_route_never_calls_the_amplitude_solver(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the density-matrix route called the amplitude route")
+
+        for name in ("effective_matrix", "solve_amplitudes"):
+            monkeypatch.setattr(qnet.steady, name, boom)
+            monkeypatch.setattr(qnet.lindblad, name, boom, raising=False)
+        spec = _two_node()
+        cfg = qnet.FockConfig(n_max=3, nodes=2)
+        state = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
+        assert abs(np.trace(state.rho) - 1.0) <= 1e-10
+
+
+def _textbook_generator(spec, n_max):
+    """Dense reference -i[H, rho] + sum_k r_k (a_k rho adag_k - {adag_k a_k, rho} / 2),
+    with H assembled term by term from the Fock matrices; returns a map
+    from rho to d rho / dt."""
+    d, n = n_max + 1, spec.n_nodes
+    single = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    ops = [np.kron(np.kron(np.eye(d**k), single), np.eye(d ** (n - k - 1))) for k in range(n)]
+    numbers = [a.conj().T @ a for a in ops]
+    h = sum((w - spec.drive.omega_d) * num for w, num in zip(spec.node_frequencies, numbers))
+    for i in range(n):
+        for j in range(i + 1, n):
+            h = h + spec.couplings[i, j] * (ops[i].conj().T @ ops[j] + ops[j].conj().T @ ops[i])
+    h = h - spec.load.delta_omega * numbers[spec.load.node]
+    a_drive, rabi = ops[spec.drive.node], complex(spec.drive.rabi)
+    h = h + np.conj(rabi) * a_drive + rabi * a_drive.conj().T
+    rates = np.array(spec.intrinsic_decays, dtype=float)
+    rates[spec.load.node] += spec.load.gamma_load
+
+    def apply(rho):
+        drho = -1j * (h @ rho - rho @ h)
+        for rate, a, num in zip(rates, ops, numbers):
+            drho = drho + rate * (a @ rho @ a.conj().T - 0.5 * (num @ rho + rho @ num))
+        return drho
+
+    return apply
+
+
+def _spec(frequencies, decays, edges, drive, load):
+    couplings = np.zeros((len(frequencies), len(frequencies)))
+    for (i, j), value in edges.items():
+        couplings[i, j] = couplings[j, i] = value
+    return qnet.NetworkSpec(
+        np.array(frequencies), np.array(decays), couplings, qnet.DriveSpec(**drive), qnet.LoadSpec(**load)
+    )
+
+
+TEXTBOOK_SPECS = {
+    "one-node": (_spec(
+        [1000.0], [0.7], {}, dict(node=0, omega_d=1000.9, rabi=0.3 - 0.2j),
+        dict(node=0, delta_omega=0.4, gamma_load=0.5),
+    ), 4),
+    "two-node-lossless": (_spec(
+        [1000.0, 1001.2], [0.8, 0.0], {(0, 1): 1.7}, dict(node=0, omega_d=1000.5, rabi=0.25j),
+        dict(node=0, delta_omega=-0.6, gamma_load=0.3),
+    ), 3),
+    "three-node-chain": (_spec(
+        [999.5, 1000.0, 1000.8], [0.5, 1.1, 0.0], {(0, 1): 1.3, (1, 2): -0.9},
+        dict(node=0, omega_d=1000.2, rabi=0.2 * np.exp(2.1j)),
+        dict(node=1, delta_omega=0.35, gamma_load=0.6),
+    ), 2),
+}
+
+
+class TestTextbookForm:
+    @pytest.mark.parametrize("name", list(TEXTBOOK_SPECS))
+    def test_generator_matches_the_term_by_term_master_equation(self, name):
+        spec, n_max = TEXTBOOK_SPECS[name]
+        cfg = qnet.FockConfig(n_max=n_max, nodes=spec.n_nodes)
+        liou = qnet.build_liouvillian(spec, cfg)
+        reference = _textbook_generator(spec, n_max)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            m = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
+            rho = m + m.conj().T
+            expected = reference(rho)
+            drho = (liou @ rho.reshape(-1, order="F")).reshape((cfg.dim, cfg.dim), order="F")
+            assert np.linalg.norm(drho - expected) <= 1e-13 * np.linalg.norm(expected)
+
 
 class TestSteadyStateDensity:
     def test_undriven_relaxes_to_vacuum(self):

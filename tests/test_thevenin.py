@@ -443,7 +443,7 @@ class TestGridMapChunks:
         assert threading.active_count() == threads_before
 
     def test_residual_miss_in_a_pool_chunk_is_singular(self, monkeypatch):
-        # six chunks on two pool threads; chunk 4 misses the contract, so
+        # six chunks on two pool threads; chunk 4 misses the residual bound, so
         # its error reaches the caller through the pool
         monkeypatch.setattr(qnet.thevenin, "_usable_cpus", lambda: 2)
         spec = make_random_network(50, 5)
@@ -460,7 +460,7 @@ class TestGridMapChunks:
             return solve(a, b) * (1 + 1e-6)
 
         monkeypatch.setattr(np.linalg, "solve", off_solve)
-        with pytest.raises(SingularNetwork, match=r"^grid solve residual \S+ exceeds contract$"):
+        with pytest.raises(SingularNetwork, match=r"^grid solve residual \S+ exceeds 1e-10 \* \|rhs\|$"):
             qnet.load_power_map(spec, np.arange(6.0), gammas)
         assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
 
