@@ -5,12 +5,25 @@
     qnet match    --config net.json [--grid-check] [--out match.json]
     qnet sweep    --config net.json --var {omega,gamma_load}
                   --min F --max F --points N [--log] [--out sweep.csv]
-    qnet gen      {chain,random} --nodes N [generator flags] --out net.json
+    qnet gen      chain  --nodes N [--j F] [shared flags] --out net.json
+    qnet gen      random --nodes N [--j-avg F] [--j-std F] [--seed N]
+                         [shared flags] --out net.json
     qnet oracle   --config net.json [--n-max N] [--out report.json]
 
-Exit codes: 0 success, 2 bad input, 3 singular network, decoupled load or
-a result that overflows, 4 infeasible match (gamma_th <= 1e-14 * |h_th|),
-5 Fock-space capacity exceeded.
+The shared gen flags are --omega0, --gamma, --drive-node, --omega-d,
+--rabi-re, --rabi-im, --load-node, --delta-omega and --gamma-load; a flag
+of the other kind is refused.
+
+Exit codes; past argument parsing (whose errors exit 2 with argparse's
+usage), each failure prints one line on stderr:
+    0  success
+    2  bad input: "qnet: input error: ...", or "qnet: ..." for a file
+       that cannot be read or written
+    3  singular network, decoupled load, a result that overflows or
+       (oracle) a mode that never decays: "qnet: ..."
+    4  infeasible match, gamma_th <= 1e-14 * |h_th|: "qnet: infeasible match: ..."
+    5  Fock-space capacity exceeded: "qnet: capacity: ..."
+
 Outputs are deterministic: identical invocations produce identical bytes.
 """
 from __future__ import annotations
@@ -55,23 +68,18 @@ def _complex_dict(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _cmd_solve(args) -> int:
-    spec = load_config(args.config)
+def _solve(spec, args) -> dict:
     state = solve_amplitudes(spec)
-    report = power_report(spec, state)
-    payload = {
+    return {
         "amplitudes": [_complex_dict(a) for a in state.amplitudes],
-        "power": vars(report),
+        "power": vars(power_report(spec, state)),
     }
-    _emit(_json(payload), args.out)
-    return 0
 
 
-def _cmd_thevenin(args) -> int:
-    spec = load_config(args.config)
+def _thevenin(spec, args) -> dict:
     resolvent = thevenin_equivalent(spec)
     elimination = thevenin_by_elimination(spec)
-    payload = {
+    return {
         "load_node": resolvent.load_node,
         "h_th": _complex_dict(resolvent.h_th),
         "omega_th": _complex_dict(resolvent.omega_th),
@@ -86,20 +94,24 @@ def _cmd_thevenin(args) -> int:
             "omega_th": _rel(elimination.omega_th, resolvent.omega_th),
         },
     }
-    _emit(_json(payload), args.out)
-    return 0
 
 
-def _cmd_match(args) -> int:
-    spec = load_config(args.config)
+def _match(spec, args) -> dict:
     matched = matched_load(spec)
     payload = {**vars(matched), "feasible": True}
     if args.grid_check:
         gc = grid_check(spec)
         fields = {k: v for k, v in vars(gc).items() if k != "predicted"}
         payload["grid_check"] = {**fields, "p_refined_rel_error": _rel(gc.p_refined, matched.p_max)}
-    _emit(_json(payload), args.out)
-    return 0
+    return payload
+
+
+def _oracle(spec, args) -> dict:
+    return oracle_report(spec, args.n_max)
+
+
+# the commands that read one config and print one JSON report
+_REPORTS = {"solve": _solve, "thevenin": _thevenin, "match": _match, "oracle": _oracle}
 
 
 @dataclass(frozen=True)
@@ -155,42 +167,19 @@ def run_sweep(request: SweepRequest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args) -> int:
-    request = SweepRequest(
-        config_path=args.config,
-        variable=args.var,
-        min=args.min,
-        max=args.max,
-        n_points=args.points,
-        log_scale=args.log,
-    )
-    _emit(run_sweep(request), args.out)
-    return 0
-
-
-def _cmd_gen(args) -> int:
-    drive_node = args.drive_node
+def _gen(args) -> None:
     load_node = args.load_node if args.load_node is not None else args.nodes - 1
-    j_scale = args.j if args.kind == "chain" else args.j_avg
-    omega_d = args.omega_d if args.omega_d is not None else args.omega0 + j_scale
-    drive = DriveSpec(node=drive_node, omega_d=omega_d, rabi=complex(args.rabi_re, args.rabi_im))
+    chain = args.kind == "chain"
+    omega_d = args.omega_d if args.omega_d is not None else args.omega0 + (args.j if chain else args.j_avg)
+    drive = DriveSpec(node=args.drive_node, omega_d=omega_d, rabi=complex(args.rabi_re, args.rabi_im))
     load = LoadSpec(node=load_node, delta_omega=args.delta_omega, gamma_load=args.gamma_load)
-    if args.kind == "chain":
-        spec = build_chain(args.nodes, args.omega0, args.j, args.gamma, drive, load)
-        seed = None
+    if chain:
+        save_config(build_chain(args.nodes, args.omega0, args.j, args.gamma, drive, load), args.out)
     else:
         spec = build_random_all_to_all(
             args.nodes, args.omega0, args.j_avg, args.j_std, args.gamma, args.seed, drive, load
         )
-        seed = args.seed
-    save_config(spec, args.out, seed=seed)
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    spec = load_config(args.config)
-    _emit(_json(oracle_report(spec, args.n_max)), args.out)
-    return 0
+        save_config(spec, args.out, seed=args.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -214,23 +203,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", required=True, type=int)
     sweep.add_argument("--log", action="store_true", help="logarithmic grid (requires --min > 0)")
 
-    gen = sub.add_parser("gen", help="write a generated network config")
-    gen.add_argument("kind", choices=("chain", "random"))
-    gen.add_argument("--nodes", required=True, type=int)
-    gen.add_argument("--omega0", type=float, default=1000.0, help="node frequency (default 1000)")
-    gen.add_argument("--j", type=float, default=2.5, help="chain coupling (default 2.5)")
-    gen.add_argument("--j-avg", type=float, default=2.5, help="random coupling mean (default 2.5)")
-    gen.add_argument("--j-std", type=float, default=1.0, help="random coupling std (default 1.0)")
-    gen.add_argument("--gamma", type=float, default=1.0, help="intrinsic decay (default 1.0)")
-    gen.add_argument("--seed", type=int, default=0, help="random generator seed")
-    gen.add_argument("--drive-node", type=int, default=0)
-    gen.add_argument("--omega-d", type=float, default=None, help="drive frequency (default omega0 + coupling)")
-    gen.add_argument("--rabi-re", type=float, default=0.1)
-    gen.add_argument("--rabi-im", type=float, default=0.0)
-    gen.add_argument("--load-node", type=int, default=None, help="default: last node")
-    gen.add_argument("--delta-omega", type=float, default=0.0)
-    gen.add_argument("--gamma-load", type=float, default=0.0)
-    gen.add_argument("--out", required=True, help="config path to write")
+    # flags of both generator kinds; each kind adds its own coupling flags
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--nodes", required=True, type=int)
+    shared.add_argument("--omega0", type=float, default=1000.0, help="node frequency (default 1000)")
+    shared.add_argument("--gamma", type=float, default=1.0, help="intrinsic decay (default 1.0)")
+    shared.add_argument("--drive-node", type=int, default=0)
+    shared.add_argument("--omega-d", type=float, help="drive frequency (default omega0 + coupling)")
+    shared.add_argument("--rabi-re", type=float, default=0.1)
+    shared.add_argument("--rabi-im", type=float, default=0.0)
+    shared.add_argument("--load-node", type=int, help="default: last node")
+    shared.add_argument("--delta-omega", type=float, default=0.0)
+    shared.add_argument("--gamma-load", type=float, default=0.0)
+    shared.add_argument("--out", required=True, help="config path to write")
+    kinds = sub.add_parser("gen", help="write a generated network config").add_subparsers(
+        dest="kind", required=True
+    )
+    chain = kinds.add_parser("chain", parents=[shared], help="uniform nearest-neighbour chain")
+    chain.add_argument("--j", type=float, default=2.5, help="chain coupling (default 2.5)")
+    dense = kinds.add_parser("random", parents=[shared], help="all-to-all, normally distributed couplings")
+    dense.add_argument("--j-avg", type=float, default=2.5, help="random coupling mean (default 2.5)")
+    dense.add_argument("--j-std", type=float, default=1.0, help="random coupling std (default 1.0)")
+    dense.add_argument("--seed", type=int, default=0, help="random generator seed")
 
     oracle = with_config(sub.add_parser("oracle", help="density-matrix cross-check report"))
     oracle.add_argument("--n-max", type=int, default=4, help="per-node occupation cutoff")
@@ -238,21 +232,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "thevenin": _cmd_thevenin,
-    "match": _cmd_match,
-    "sweep": _cmd_sweep,
-    "gen": _cmd_gen,
-    "oracle": _cmd_oracle,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except ValidationError as exc:
+        if args.command == "gen":
+            _gen(args)
+        elif args.command == "sweep":
+            request = SweepRequest(args.config, args.var, args.min, args.max, args.points, args.log)
+            _emit(run_sweep(request), args.out)
+        else:
+            _emit(_json(_REPORTS[args.command](load_config(args.config), args)), args.out)
+    except (ValidationError, MemoryError) as exc:
+        # an array too large to allocate (numpy says how large) is bad input
         print(f"qnet: input error: {exc}", file=sys.stderr)
         return 2
     except UnphysicalMatch as exc:
@@ -267,10 +258,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"qnet: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:
-        # an array too large to allocate (numpy says how large) is bad input
-        print(f"qnet: input error: {exc}", file=sys.stderr)
-        return 2
+    return 0
 
 
 def main_entry() -> None:

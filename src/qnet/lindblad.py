@@ -100,6 +100,19 @@ def _annihilators(cfg: FockConfig):
     return ops
 
 
+def _mode_matrix(spec: NetworkSpec):
+    """The N x N matrix k of K's sum_nm k_nm adag_n a_m, and the loss
+    rates r. k holds the detunings less i r_n / 2 on its diagonal and the
+    couplings off it; entries that overflow are left for the caller."""
+    rates = np.array(spec.intrinsic_decays, dtype=float)
+    rates[spec.load.node] += spec.load.gamma_load
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.array(spec.couplings, dtype=complex)
+        np.fill_diagonal(k, spec.node_frequencies - spec.drive.omega_d - 0.5j * rates)
+        k[spec.load.node, spec.load.node] -= spec.load.delta_omega
+    return k, rates
+
+
 def build_liouvillian(spec: NetworkSpec, cfg: FockConfig):
     """Vectorized generator of the dissipative dynamics (sparse, column
     stacking convention: d vec(rho)/dt = L vec(rho)), in no-jump/jump form
@@ -113,15 +126,10 @@ def build_liouvillian(spec: NetworkSpec, cfg: FockConfig):
         )
     ops = _annihilators(cfg)
     eye = sp.identity(cfg.dim, format="csr")
-    rates = np.array(spec.intrinsic_decays, dtype=float)
-    rates[spec.load.node] += spec.load.gamma_load
+    k, rates = _mode_matrix(spec)
     a_drive = ops[spec.drive.node]
     rabi = complex(spec.drive.rabi)
     with np.errstate(over="ignore", invalid="ignore"):
-        # k: detunings less i r_n / 2 on the diagonal, the couplings off it
-        k = np.array(spec.couplings, dtype=complex)
-        np.fill_diagonal(k, spec.node_frequencies - spec.drive.omega_d - 0.5j * rates)
-        k[spec.load.node, spec.load.node] -= spec.load.delta_omega
         non_hermitian = np.conj(rabi) * a_drive + rabi * a_drive.conj().T
         for (n, m), k_nm in np.ndenumerate(k):
             if k_nm != 0.0:
@@ -224,10 +232,20 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
     Returns a dictionary with the relative amplitude discrepancy, the
     factorization residual, and power comparisons between the
     correlator-based formulas (density-matrix moments) and the factorized
-    amplitude formulas (linear solve).
+    amplitude formulas (linear solve). Raises NonUniqueSteadyState for a
+    network with a mode that never decays.
     """
     cfg = FockConfig(n_max=n_max, nodes=spec.n_nodes)
-    state = steady_state_density(build_liouvillian(spec, cfg), cfg)
+    liouvillian = build_liouvillian(spec, cfg)
+    # <a> obeys d<a>/dt = -i k <a> + drive, so the modes all decay only
+    # when every eigenvalue of k has a negative imaginary part
+    alpha = float(np.linalg.eigvals(_mode_matrix(spec)[0]).imag.max())
+    if alpha >= 0.0:
+        raise NonUniqueSteadyState(
+            f"network has a non-decaying mode (max Im eigenvalue of k {alpha:.3e}); "
+            "the density-matrix oracle requires a decaying system"
+        )
+    state = steady_state_density(liouvillian, cfg)
     linear = solve_amplitudes(spec)
 
     amps, corr = moments(state)

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: outputs, exit codes, determinism."""
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import qnet
+import qnet.cli
+import qnet.errors
 from qnet.cli import SweepRequest, main, run_sweep
 
 from conftest import radiated_overflow, strict_json
@@ -469,6 +472,12 @@ class TestSweep:
 
 
 class TestGen:
+    # each kind takes these and its own coupling flags
+    SHARED = {
+        "--nodes", "--omega0", "--gamma", "--drive-node", "--omega-d", "--rabi-re", "--rabi-im",
+        "--load-node", "--delta-omega", "--gamma-load", "--out", "--help",
+    }
+
     def test_chain_config_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "chain.json"
         code, _, _ = run(
@@ -510,6 +519,33 @@ class TestGen:
         assert err == "qnet: input error: seed must be >= 0, got -1\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "kind,own", [("chain", {"--j"}), ("random", {"--j-avg", "--j-std", "--seed"})]
+    )
+    def test_help_lists_exactly_the_flags_of_the_kind(self, capsys, kind, own):
+        with pytest.raises(SystemExit) as stop:
+            main(["gen", kind, "--help"])
+        assert stop.value.code == 0
+        assert set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) == self.SHARED | own
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chain", "--nodes", "3", "--seed", "4"],
+            ["chain", "--nodes", "3", "--j-avg", "9"],
+            ["chain", "--nodes", "3", "--j-std", "0.5"],
+            ["random", "--nodes", "3", "--j", "2"],
+            ["--nodes", "3", "chain"],  # the shared flags come after the kind
+        ],
+    )
+    def test_a_flag_the_kind_does_not_take_exits_2(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as stop:
+            main(["gen", *argv, "--out", str(out_path)])
+        assert stop.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out_path.exists()
+
 
 class TestOracle:
     def test_report_fields(self, capsys, tmp_path):
@@ -538,6 +574,55 @@ class TestOracle:
         path = two_node_config(tmp_path)
         code, _, _ = run(capsys, "oracle", "--config", path, "--n-max", "100")
         assert code == 5
+
+
+    def test_a_mode_that_never_decays_exits_3(self, capsys, tmp_path):
+        path = two_node_config(
+            tmp_path,
+            intrinsic_decays=np.array([0.0, 1.24]),
+            couplings=np.zeros((2, 2)),
+            drive=qnet.DriveSpec(node=0, omega_d=1000.5, rabi=0.1),
+            load=qnet.LoadSpec(node=1, delta_omega=0.0, gamma_load=0.5),
+        )
+        code, out, err = run_quietly(capsys, "oracle", "--config", path, "--n-max", "3")
+        assert (code, out) == (3, "")
+        assert err == (
+            "qnet: network has a non-decaying mode (max Im eigenvalue of k 0.000e+00); "
+            "the density-matrix oracle requires a decaying system\n"
+        )
+
+
+def _error_classes():
+    defined = [c for c in vars(qnet.errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    return defined + [OSError, MemoryError]
+
+
+# constructor arguments of the errors that take more than a message
+ERROR_ARGS = {"PivotBreakdown": (1,), "UnphysicalMatch": (-0.5, 1e-14), "ConvergenceFailure": (2.5e-3,)}
+
+# the stderr prefix and exit code of each error that does not end with a bare "qnet: " and 3
+EXITS = {
+    qnet.ValidationError: ("qnet: input error: ", 2),
+    MemoryError: ("qnet: input error: ", 2),
+    qnet.UnphysicalMatch: ("qnet: infeasible match: ", 4),
+    qnet.CapacityError: ("qnet: capacity: ", 5),
+    OSError: ("qnet: ", 2),
+}
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_each_error_maps_to_its_exit_code_and_prefix(capsys, monkeypatch, cls):
+    error = cls(*ERROR_ARGS.get(cls.__name__, ("boom",)))
+
+    def fail(spec):
+        raise error
+
+    monkeypatch.setattr(qnet.cli, "solve_amplitudes", fail)
+    code, out, err = run(capsys, "solve", "--config", str(CONFIGS / "two_node.json"))
+    prefix, expected = EXITS.get(cls, ("qnet: ", 3))
+    assert (code, out) == (expected, "")
+    assert err == f"{prefix}{error}\n"
+    assert "Traceback" not in err
 
 
 class TestOutOfMemory:

@@ -296,3 +296,12 @@ class TestOracleReport:
     def test_capacity_propagates(self):
         with pytest.raises(CapacityError):
             qnet.oracle_report(_two_node(), n_max=100)
+
+    def test_a_mode_that_never_decays_is_refused(self):
+        # node 0 has no loss and no edge, so its driven mode oscillates forever
+        spec = _spec(
+            [1000.0, 1000.0], [0.0, 1.24], {}, dict(node=0, omega_d=1000.5, rabi=0.1),
+            dict(node=1, delta_omega=0.0, gamma_load=0.5),
+        )
+        with pytest.raises(NonUniqueSteadyState, match=r"max Im eigenvalue of k 0\.000e\+00"):
+            qnet.oracle_report(spec, n_max=3)
