@@ -14,8 +14,8 @@ The shared gen flags are --omega0, --gamma, --drive-node, --omega-d,
 --rabi-re, --rabi-im, --load-node, --delta-omega and --gamma-load; a flag
 of the other kind is refused.
 
-Exit codes; past argument parsing (whose errors exit 2 with argparse's
-usage), each failure prints one line on stderr:
+Exit codes; past argument parsing (whose errors exit 2 with the usage of
+the command being parsed), each failure prints one line on stderr:
     0  success
     2  bad input: "qnet: input error: ...", or "qnet: ..." for a file
        that cannot be read or written
@@ -44,7 +44,7 @@ from .power import _rel, power_report
 from .steady import solve_amplitudes, spectral_density_grid
 from .thevenin import grid_check, load_sweep, matched_load, thevenin_by_elimination, thevenin_equivalent
 
-__all__ = ["SweepRequest", "run_sweep", "main", "main_entry"]
+__all__ = ["SweepRequest", "run_sweep", "main"]
 
 
 def _fmt(x: float) -> str:
@@ -182,8 +182,19 @@ def _gen(args) -> None:
         save_config(spec, args.out, seed=args.seed)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses its own leftover arguments, which argparse would hand to the
+    top-level parser; add_subparsers gives each sub-parser this class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qnet", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="qnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_config(p):
@@ -261,9 +272,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def main_entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

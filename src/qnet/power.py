@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidMoments, SingularNetwork, UnsupportedTopology
 from .network import NetworkSpec
-from .steady import SteadyState, effective_matrix, _frequency_matrix
+from .steady import SteadyState, _undriven_matrix, effective_matrix
 
 __all__ = [
     "PowerReport",
@@ -72,7 +72,7 @@ def general_power_from_correlators(spec, first_moments, second_moments):
     if not herm_defect <= 1e-10 * max(1.0, np.abs(corr).max()):
         raise InvalidMoments(f"second moments not Hermitian (defect {herm_defect:.3e})")
 
-    w = _frequency_matrix(spec)
+    w = _undriven_matrix(spec).real
     delta = spec.drive.omega_d * np.eye(n) - w
     pair = w * corr + delta * np.outer(amps.conj(), amps)
 

@@ -50,17 +50,12 @@ class SteadyState:
         object.__setattr__(self, "amplitudes", arr)
 
 
-def _frequency_matrix(spec: NetworkSpec) -> np.ndarray:
-    """Real symmetric matrix with node frequencies on the diagonal and
-    couplings off it."""
+def _undriven_matrix(spec: NetworkSpec) -> np.ndarray:
+    """W - i*diag(gamma)/2 of the undriven, unloaded network; its real part
+    is exactly W, node frequencies on the diagonal and couplings off it."""
     w = np.array(spec.couplings, dtype=float)
     np.fill_diagonal(w, spec.node_frequencies)
-    return w
-
-
-def _undriven_matrix(spec: NetworkSpec) -> np.ndarray:
-    """W - i*diag(gamma)/2 of the undriven, unloaded network."""
-    return _frequency_matrix(spec) - 0.5j * np.diag(spec.intrinsic_decays)
+    return w - 0.5j * np.diag(spec.intrinsic_decays)
 
 
 def _load_term(delta_omega, gamma_load):
@@ -168,16 +163,22 @@ class _Factorization:
         return self._trs(self.lu, self.band, self.band, rhs, self.piv)[0]
 
 
-def _residual_bound(rhs_norm) -> float:
-    """Bound of the residual contract that every solve route meets: each
-    residual norm |A a - rhs| must satisfy `residual <= bound`, a test
-    written that way round so that a NaN residual fails. Raises
-    SingularNetwork when the bound RESIDUAL_RTOL * |rhs| overflows, where
-    no residual could fail it."""
-    bound = RESIDUAL_RTOL * rhs_norm
+def _residual_bound(rhs) -> float:
+    """Bound RESIDUAL_RTOL * |rhs| of the residual contract that every
+    solve route meets, for the right-hand side rhs. Raises SingularNetwork
+    when the bound overflows, where no residual could fail it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = RESIDUAL_RTOL * np.linalg.norm(rhs)
     if not bound < math.inf:
         raise SingularNetwork(f"residual bound {RESIDUAL_RTOL:.0e} * |rhs| overflows")
     return bound
+
+
+def _require_residual(residual, bound, route="residual") -> None:
+    """Raises SingularNetwork, naming the route, unless `residual <= bound`,
+    a test written that way round so that a NaN residual fails."""
+    if not residual <= bound:
+        raise SingularNetwork(f"{route} {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|")
 
 
 def drive_vector(spec: NetworkSpec) -> np.ndarray:
@@ -204,15 +205,14 @@ def solve_amplitudes(spec: NetworkSpec) -> SteadyState:
     factors = _Factorization(matrix)
     amps = factors.solve(rhs)
 
+    bound = _residual_bound(rhs)
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = _residual_bound(np.linalg.norm(rhs))
         residual = np.linalg.norm(matrix @ amps - rhs)
         if not residual <= bound:
             # one step of iterative refinement, then give up
             amps = amps + factors.solve(rhs - matrix @ amps)
             residual = np.linalg.norm(matrix @ amps - rhs)
-    if not residual <= bound:
-        raise SingularNetwork(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|")
+    _require_residual(residual, bound)
     return SteadyState(amplitudes=amps)
 
 
@@ -327,8 +327,7 @@ def time_domain_steady_state(spec) -> SteadyState:
     matrix = effective_matrix(spec)
     omega = drive_vector(spec)
     forcing = -1j * omega
-    with np.errstate(over="ignore", invalid="ignore"):
-        tol = _residual_bound(np.linalg.norm(omega))
+    tol = _residual_bound(omega)
 
     eigs = np.linalg.eigvals(matrix)
     alpha = float(eigs.real.max())

@@ -24,7 +24,7 @@ from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch
 from .network import LoadSpec, NetworkSpec, _grid, _load_values
 from .power import _powers
 from .steady import (
-    RESIDUAL_RTOL, _Factorization, _load_term, _residual_bound, drive_vector, effective_matrix,
+    _Factorization, _load_term, _require_residual, _residual_bound, drive_vector, effective_matrix,
 )
 
 __all__ = [
@@ -205,9 +205,9 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
     a_L, the Thevenin form i*omega_th / (h_th + h_L), is used as it stands
     for the load entry; recovering it from the difference on the left
     loses the digits of |h_L * x_L|. Every point must meet the residual
-    contract of the full solve, |(H + h_L e_L e_L^T) a - i*W| <=
-    RESIDUAL_RTOL * |W|, and give finite powers, as power_report demands
-    of one state, or SingularNetwork is raised. gamma_values is a number
+    contract of the full solve on |(H + h_L e_L e_L^T) a - i*W| and give
+    finite powers, as power_report demands of one state, or
+    SingularNetwork is raised. gamma_values is a number
     (one point) or a 1-D grid. Returns a (len(gamma_values), 2) array of
     (p_l, eta) rows; eta is nan where no power flows. Per-point
     solve_amplitudes and power_report are the independent check of this
@@ -229,10 +229,7 @@ def load_sweep(spec, gamma_values) -> np.ndarray:
         residual_rows = amps @ matrix.T - rhs
         residual_rows[:, load] += h_l * amp_load
         residual = np.linalg.norm(residual_rows, axis=1).max(initial=0.0)
-        if not residual <= _residual_bound(np.linalg.norm(rhs)):
-            raise SingularNetwork(
-                f"load sweep residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|"
-            )
+    _require_residual(residual, _residual_bound(rhs), "load sweep residual")
     _, _, p_l, eta, _ = _powers(spec, amps, gamma_values)
     return np.column_stack([p_l, eta])
 
@@ -274,8 +271,7 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     base = effective_matrix(spec, loaded=False)
     rhs = 1j * drive_vector(spec)
     load = spec.load.node
-    with np.errstate(all="ignore"):
-        bound = _residual_bound(np.linalg.norm(rhs))
+    bound = _residual_bound(rhs)
 
     h_l = _load_term(delta_values[:, None], gamma_values[None, :]).ravel()
     amp_load = np.empty(h_l.size, dtype=complex)
@@ -301,10 +297,7 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
                 raise SingularNetwork(str(exc)) from None
             finally:
                 stacks.append(stack)
-        if not residual <= bound:
-            raise SingularNetwork(
-                f"grid solve residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|"
-            )
+        _require_residual(residual, bound, "grid solve residual")
         amp_load[start : start + chunk] = sols[:, load, 0]
 
     if workers < 2:

@@ -197,6 +197,25 @@ class TestSolve:
             assert err == f"qnet: input error: field '{key}' in {where} must be {kind}, got '{value}'\n"
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda data: [data], "config root must be a JSON object"),
+            (
+                lambda data: {**data, "edges": [{"i": 1, "j": 1, "J": 2.0}]},
+                "edges[0] is a self-coupling on node 1",
+            ),
+        ],
+        ids=["root-a-list", "self-coupling"],
+    )
+    def test_config_structure_errors_exit_2(self, capsys, tmp_path, change, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(change(json.loads((CONFIGS / "two_node.json").read_text()))))
+        code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"qnet: input error: {message}\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "command,key,value",
         [
             ("solve", "rabi_re", 1e154),  # powers overflow
@@ -663,9 +682,33 @@ class TestOutOfMemory:
         assert not out_path.exists()
 
 
+class TestUnknownFlag:
+    """A flag that a command does not take is reported under the usage of
+    that command, not the top-level one, and nothing is written."""
+
+    @pytest.mark.parametrize(
+        "command, argv, extra",
+        [
+            ("solve", ["--config", str(CONFIGS / "two_node.json")], ["--bogus", "1"]),
+            ("gen chain", ["--nodes", "3"], ["--seed", "4"]),
+        ],
+        ids=["solve", "gen-chain"],
+    )
+    def test_the_command_being_parsed_reports_it(self, capsys, tmp_path, command, argv, extra):
+        out_path = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as stop:
+            main([*command.split(), *argv, *extra, "--out", str(out_path)])
+        assert stop.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: qnet {command} [-h] ")
+        assert err.endswith(f"qnet {command}: error: unrecognized arguments: {' '.join(extra)}\n")
+        assert not out_path.exists()
+
+
 class TestModuleEntryPoint:
-    """`python -m qnet.cli`, which runs main_entry as the `qnet` script does,
-    in a child interpreter."""
+    """`python -m qnet.cli`, which exits with main's code as the `qnet`
+    script does, in a child interpreter."""
 
     def run_module(self, *argv):
         return subprocess.run(

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import qnet
-from qnet.errors import CapacityError, NonUniqueSteadyState, ValidationError
+from qnet.errors import CapacityError, NonUniqueSteadyState, QnetError, ValidationError
 
 WEAK_DRIVE = 0.05 * np.exp(0.6j)  # |rabi| = 0.05 * gamma with a nontrivial phase
 
@@ -48,6 +48,10 @@ class TestFockConfig:
     def test_cutoff_must_be_positive(self):
         with pytest.raises(ValidationError):
             qnet.FockConfig(n_max=0, nodes=1)
+
+    def test_node_count_must_be_positive(self):
+        with pytest.raises(ValidationError, match="^nodes must be >= 1, got 0$"):
+            qnet.FockConfig(n_max=2, nodes=0)
 
     @pytest.mark.parametrize(
         "sizes, name",
@@ -236,6 +240,27 @@ class TestSteadyStateDensity:
         cfg = qnet.FockConfig(n_max=2, nodes=1)
         with pytest.raises(NonUniqueSteadyState):
             qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
+
+    def test_generator_of_another_dimension_rejected(self):
+        cfg = qnet.FockConfig(n_max=1, nodes=1)
+        with pytest.raises(ValidationError, match=r"generator shape \(9, 9\) does not match dim 2"):
+            qnet.steady_state_density(sp.identity(9, dtype=complex, format="csr"), cfg)
+
+    def test_generator_without_a_kernel_detected(self):
+        # the trace row makes the identity's first row solvable, but the
+        # solution then fails the unmodified generator
+        cfg = qnet.FockConfig(n_max=1, nodes=1)
+        with pytest.raises(NonUniqueSteadyState, match="kernel residual 1.000e[+]00 too large"):
+            qnet.steady_state_density(sp.identity(4, dtype=complex, format="csr"), cfg)
+
+    def test_kernel_that_is_no_density_matrix_rejected(self):
+        # the projector off vec(rho) has rho as its kernel: unit trace,
+        # Hermitian, but with a negative eigenvalue
+        cfg = qnet.FockConfig(n_max=1, nodes=1)
+        vec = np.diag([1.5, -0.5]).astype(complex).reshape(-1, order="F")
+        generator = np.eye(4) - np.outer(vec, vec.conj()) / np.vdot(vec, vec)
+        with pytest.raises(QnetError, match="failed its invariants .* min eigenvalue -5.00e-01"):
+            qnet.steady_state_density(sp.csr_matrix(generator), cfg)
 
     def test_sparse_path_matches_scalar_solve(self):
         # a large truncation: the generator is 5041 x 5041

@@ -183,13 +183,18 @@ class TestValidate:
             ("intrinsic_decays", [1.0, None], "intrinsic_decays must be real numbers"),
             ("couplings", [[0.0, 2.0], [2.0]], "couplings must be a rectangular array"),
             ("node_frequencies", [True, True], "node_frequencies must be real numbers, got dtype bool"),
+            ("couplings", np.zeros((3, 3)), r"couplings must be 2x2, got \(3, 3\)"),
         ],
-        ids=["complex", "complex-real-valued", "strings", "none", "ragged", "bool"],
+        ids=["complex", "complex-real-valued", "strings", "none", "ragged", "bool", "not-n-by-n"],
     )
     def test_array_of_wrong_type_rejected(self, field, value, message):
         # a complex array is refused, not stored as its real part
         with pytest.raises(ValidationError, match=message):
             self._spec(**{field: value})
+
+    def test_no_nodes(self):
+        with pytest.raises(ValidationError, match="^network must contain at least one node$"):
+            self._spec(node_frequencies=[], intrinsic_decays=[], couplings=np.zeros((0, 0)))
 
     def test_scalar_frequencies_rejected(self):
         with pytest.raises(ValidationError, match="shapes differ"):

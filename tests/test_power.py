@@ -1,4 +1,5 @@
 """Power bookkeeping: balance, factorized and correlator forms, efficiency."""
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,14 @@ class TestCorrelatorForm:
         with pytest.raises(InvalidMoments):
             qnet.general_power_from_correlators(spec, np.zeros(2, complex), np.zeros((3, 3), complex))
 
+    def test_nonreal_power_rejected(self):
+        # an anti-Hermitian part within the Hermiticity tolerance is all
+        # the power there is
+        spec = qnet.load_config(CONFIGS / "two_node.json")
+        corr = np.array([[0.0, 1e-11j], [1e-11j, 0.0]])
+        with pytest.raises(InvalidMoments, match="power has a nonreal part"):
+            qnet.general_power_from_correlators(spec, np.zeros(2, complex), corr)
+
     @pytest.mark.parametrize(
         "first, second",
         [([np.nan, 0.0], np.zeros((2, 2))), ([0.0, 0.0], np.full((2, 2), np.nan))],
@@ -234,6 +243,11 @@ class TestTwoNodeEfficiencyFormula:
         assert qnet.matched_efficiency_two_node(spec) == pytest.approx(
             g_l / (g2 + g_l), rel=1e-6
         )
+
+    def test_uncoupled_pair_delivers_nothing(self):
+        spec = dataclasses.replace(self._random_two_node(0), couplings=np.zeros((2, 2)))
+        assert qnet.matched_efficiency_two_node(spec) == 0.0
+        assert qnet.power_report(spec, qnet.solve_amplitudes(spec)).eta == 0.0
 
     def test_matched_lossless_load_node_hits_half(self):
         spec = two_node_resonant()

@@ -356,6 +356,12 @@ class TestSpectralDensity:
         with pytest.raises(SingularNetwork):
             qnet.spectral_density(spec, 1000.0)
 
+    def test_resolvent_that_overflows_is_singular(self):
+        # omega - M = i * 5e-311 is invertible, but its inverse overflows
+        spec = _one_node(omega_d=1000.0, gamma=1e-310)
+        with pytest.raises(SingularNetwork, match="^resolvent diverges at omega = 1000.0$"):
+            qnet.spectral_density(spec, 1000.0)
+
     def test_frequencies_near_the_largest_double_do_not_overflow(self):
         # the mean of the node frequencies would overflow; the spectrum at
         # the band center is that of the same network at 1000

@@ -488,6 +488,13 @@ class TestGridMapChunks:
             qnet.load_power_map(spec, deltas, gammas)
         assert len(calls) <= 2 * 2
 
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(qnet.thevenin.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(qnet.thevenin.os, "cpu_count", lambda: 3)
+        assert qnet.thevenin._usable_cpus() == 3
+        monkeypatch.setattr(qnet.thevenin.os, "cpu_count", lambda: None)
+        assert qnet.thevenin._usable_cpus() == 1
+
     def test_map_memory_is_bounded_by_the_chunk_bytes(self):
         # a stack of all 100 matrices of this grid would take 64 MB
         spec = make_random_network(200, 1)
