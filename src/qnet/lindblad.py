@@ -163,7 +163,9 @@ def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
             f"generator shape {liouvillian.shape} does not match dim {dim}"
         )
 
-    generator = sp.csr_matrix(liouvillian)
+    # complex even for a real generator: splu factors a real matrix as real
+    # and then cannot solve for the complex right-hand side
+    generator = sp.csr_matrix(liouvillian, dtype=complex)
     # the row that reads tr(rho) off vec(rho): ones at every diagonal position
     trace_row = sp.csr_matrix((np.ones(dim), np.arange(0, size, dim + 1), [0, dim]), shape=(1, size))
     modified = sp.vstack([trace_row, generator[1:]], format="csc")

@@ -133,8 +133,8 @@ def thevenin_by_elimination(spec: NetworkSpec) -> TheveninEquivalent:
     n = spec.n_nodes
     load = spec.load.node
     order = [k for k in range(n) if k != load] + [load]
-    matrix = effective_matrix(spec, loaded=False)[np.ix_(order, order)].copy()
-    rhs = (1j * drive_vector(spec))[order].copy()
+    matrix = effective_matrix(spec, loaded=False)[np.ix_(order, order)]
+    rhs = (1j * drive_vector(spec))[order]
 
     for k in range(n - 1):
         pivot = matrix[k, k]

@@ -1,24 +1,71 @@
-"""Shared corpus of seeded random networks and load settings."""
+"""Shared corpus of seeded random networks and load settings, and the
+helpers that build every hand-made network, mutated config and child
+interpreter of the suite."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qnet
 
+ROOT = Path(__file__).resolve().parent.parent
 CORPUS_SIZES = (2, 5, 10, 50)
 SEEDS_PER_SIZE = 26
 LOADS_PER_NETWORK = 10
 
 
+def network(frequencies, decays, edges={}, drive={}, load={}):
+    """A hand-made network. The node frequencies and decays pass through as
+    given; `edges` maps node pairs (i, j) to couplings J, set symmetrically.
+    `drive` and `load` are DriveSpec and LoadSpec keywords over the defaults
+    node=0, omega_d=1000, rabi=0.1 and node=N - 1, no load."""
+    n = len(frequencies)
+    couplings = np.zeros((n, n))
+    for (i, j), value in edges.items():
+        couplings[i, j] = couplings[j, i] = value
+    return qnet.NetworkSpec(
+        frequencies, decays, couplings,
+        qnet.DriveSpec(**{"node": 0, "omega_d": 1000.0, "rabi": 0.1, **drive}),
+        qnet.LoadSpec(**{"node": n - 1, **load}),
+    )
+
+
+def bundled_config(tmp_path, change):
+    """Write configs/two_node.json to tmp_path / "bad.json" after
+    change(data) has edited its parsed JSON in place or returned the data
+    to write instead; return the path."""
+    data = json.loads((ROOT / "configs" / "two_node.json").read_text())
+    changed = change(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data if changed is None else changed))
+    return str(path)
+
+
+def child(argv, cwd=None):
+    """Run `python *argv` in a new interpreter with src/ on the path and
+    return the finished process with its text output."""
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def _drive_and_load(rng, n):
-    """A complex drive at node 0 and a generic load at node n - 1."""
-    drive = qnet.DriveSpec(
+    """Keywords of a complex drive at node 0 and a generic load at node n - 1."""
+    drive = dict(
         node=0,
         omega_d=1000.0 + rng.uniform(-4.0, 4.0),
         rabi=rng.uniform(0.05, 0.3) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)),
     )
-    load = qnet.LoadSpec(
+    load = dict(
         node=n - 1,
         delta_omega=rng.uniform(-2.0, 2.0),
         gamma_load=float(np.exp(rng.uniform(np.log(0.2), np.log(5.0)))),
@@ -30,7 +77,9 @@ def make_random_network(n, seed, gamma=1.0, j_avg=2.5, j_std=1.0):
     """Deterministic random all-to-all network with a complex drive and a
     generic load attachment."""
     drive, load = _drive_and_load(np.random.default_rng(10_000 + 131 * n + seed), n)
-    return qnet.build_random_all_to_all(n, 1000.0, j_avg, j_std, gamma, seed, drive, load)
+    return qnet.build_random_all_to_all(
+        n, 1000.0, j_avg, j_std, gamma, seed, qnet.DriveSpec(**drive), qnet.LoadSpec(**load)
+    )
 
 
 def sparse_edges(n, shape):
@@ -54,16 +103,9 @@ def make_sparse_network(n, shape, seed):
     load of make_random_network."""
     rng = np.random.default_rng(20_000 + 131 * n + seed)
     drive, load = _drive_and_load(rng, n)
-    edges = np.array(sparse_edges(n, shape)).T
-    couplings = np.zeros((n, n))
-    couplings[edges[0], edges[1]] = rng.normal(2.5, 1.0, size=edges.shape[1])
-    return qnet.NetworkSpec(
-        node_frequencies=np.full(n, 1000.0),
-        intrinsic_decays=rng.uniform(0.5, 1.5, size=n),
-        couplings=couplings + couplings.T,
-        drive=drive,
-        load=load,
-    )
+    edges = sparse_edges(n, shape)
+    weights = rng.normal(2.5, 1.0, size=len(edges))
+    return network(np.full(n, 1000.0), rng.uniform(0.5, 1.5, size=n), dict(zip(edges, weights)), drive, load)
 
 
 def load_settings(network_id, count=LOADS_PER_NETWORK):
@@ -102,21 +144,11 @@ def radiated_overflow():
     """Two weakly coupled lossy nodes driven so hard that the radiated
     power overflows double precision while the power delivered to the load
     stays finite."""
-    return qnet.build_chain(
-        2, 1000.0, 1e-3, 1.0,
-        qnet.DriveSpec(node=0, omega_d=1000.0, rabi=1e154),
-        qnet.LoadSpec(node=1, gamma_load=1.0),
-    )
+    return network([1000.0, 1000.0], [1.0, 1.0], {(0, 1): 1e-3}, dict(rabi=1e154), dict(gamma_load=1.0))
 
 
 def two_node_resonant(j=2.0, gamma_1=1.3, rabi=0.9, omega_0=1000.0):
     """Two nodes, everything on resonance, lossless load node. The case with
     hand-derivable equivalents: h_th = -2 j^2 / gamma_1, matched load
     gamma_load = 4 j^2 / gamma_1, maximum power omega_0 |rabi|^2 / gamma_1."""
-    return qnet.NetworkSpec(
-        node_frequencies=np.array([omega_0, omega_0]),
-        intrinsic_decays=np.array([gamma_1, 0.0]),
-        couplings=np.array([[0.0, j], [j, 0.0]]),
-        drive=qnet.DriveSpec(node=0, omega_d=omega_0, rabi=rabi),
-        load=qnet.LoadSpec(node=1, delta_omega=0.0, gamma_load=0.0),
-    )
+    return network([omega_0, omega_0], [gamma_1, 0.0], {(0, 1): j}, dict(omega_d=omega_0, rabi=rabi))

@@ -1,9 +1,6 @@
 """End-to-end command-line behaviour: outputs, exit codes, determinism."""
 import json
-import os
 import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -15,7 +12,7 @@ import qnet.cli
 import qnet.errors
 from qnet.cli import SweepRequest, main, run_sweep
 
-from conftest import radiated_overflow, strict_json
+from conftest import bundled_config, child, network, radiated_overflow, strict_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,31 +39,15 @@ def write_config(tmp_path, spec, name="net.json", seed=None):
     return str(path)
 
 
-def bundled_with(tmp_path, section, key, value):
-    """configs/two_node.json with one field of one section replaced."""
-    data = json.loads((CONFIGS / "two_node.json").read_text())
-    target = data[section][0] if section in ("nodes", "edges") else data[section]
-    target[key] = value
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    return str(path)
-
-
-def two_node_config(tmp_path, **overrides):
-    fields = dict(
-        node_frequencies=np.array([1000.0, 1000.0]),
-        intrinsic_decays=np.array([1.3, 0.0]),
-        couplings=np.array([[0.0, 2.0], [2.0, 0.0]]),
-        drive=qnet.DriveSpec(node=0, omega_d=1000.0, rabi=0.9),
-        load=qnet.LoadSpec(node=1, delta_omega=0.0, gamma_load=0.0),
-    )
-    fields.update(overrides)
-    return write_config(tmp_path, qnet.NetworkSpec(**fields))
+def two_node_config(tmp_path, decays=(1.3, 0.0), j=2.0, drive=dict(rabi=0.9), load={}):
+    """conftest.two_node_resonant with its decays, coupling, drive or load
+    replaced, written as a config."""
+    return write_config(tmp_path, network([1000.0, 1000.0], decays, {(0, 1): j}, drive, load))
 
 
 class TestSolve:
     def test_undriven_reports_zero(self, capsys, tmp_path):
-        path = two_node_config(tmp_path, drive=qnet.DriveSpec(node=0, omega_d=1000.0, rabi=0.0))
+        path = two_node_config(tmp_path, drive=dict(rabi=0.0))
         code, out, _ = run(capsys, "solve", "--config", path)
         assert code == 0
         payload = json.loads(out)
@@ -100,22 +81,13 @@ class TestSolve:
         assert code == 2
 
     def test_singular_network_exits_3(self, capsys, tmp_path):
-        path = two_node_config(
-            tmp_path,
-            intrinsic_decays=np.array([0.0, 0.0]),
-            drive=qnet.DriveSpec(node=0, omega_d=1002.0, rabi=0.1),
-        )
+        path = two_node_config(tmp_path, decays=[0.0, 0.0], drive=dict(omega_d=1002.0, rabi=0.1))
         code, _, err = run(capsys, "solve", "--config", path)
         assert code == 3
 
     def test_ill_conditioned_network_exits_3(self, capsys, tmp_path):
         # condition number about 1e14, no pivot exactly zero
-        path = two_node_config(
-            tmp_path,
-            intrinsic_decays=np.array([1e-13, 1e-13]),
-            couplings=np.array([[0.0, 2.5], [2.5, 0.0]]),
-            drive=qnet.DriveSpec(node=0, omega_d=1002.5, rabi=0.1),
-        )
+        path = two_node_config(tmp_path, decays=[1e-13, 1e-13], j=2.5, drive=dict(omega_d=1002.5, rabi=0.1))
         code, out, err = run(capsys, "solve", "--config", path)
         assert code == 3
         assert out == ""
@@ -152,47 +124,42 @@ class TestSolve:
         ],
     )
     def test_non_finite_value_exits_2(self, capsys, tmp_path, section, key, value):
-        data = json.loads((CONFIGS / "two_node.json").read_text())
-        target = data[section][0] if section in ("nodes", "edges") else data[section]
-        target[key] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))  # writes the JSON tokens NaN / Infinity
-        code, _, err = run(capsys, "solve", "--config", str(path))
+        def change(data):
+            (data[section][0] if section in ("nodes", "edges") else data[section])[key] = value
+
+        path = bundled_config(tmp_path, change)  # writes the JSON tokens NaN / Infinity
+        code, _, err = run(capsys, "solve", "--config", path)
         assert code == 2
         assert err.startswith("qnet: input error:") and "finite" in err
 
     def test_config_type_errors_exit_2(self, capsys, tmp_path):
-        data = json.loads((CONFIGS / "two_node.json").read_text())
-        data["edges"] = None
-        data["nodes"][0]["omega"] = 10**400
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+        def solve(edges, *fields):
+            """solve on the bundled config with these edges and each
+            (where, key, value) of fields set."""
+            def change(data):
+                data["edges"] = edges
+                for where, key, value in fields:
+                    (data["nodes"][0] if where == "nodes[0]" else data[where])[key] = value
+
+            return run_quietly(capsys, "solve", "--config", bundled_config(tmp_path, change))
+
+        code, out, err = solve(None, ("nodes[0]", "omega", 10**400))
         assert (code, out) == (2, "")
         assert err.startswith("qnet: input error: field 'omega' in nodes[0] must be float")
-        data["nodes"][0]["omega"] = 1000.0
-        path.write_text(json.dumps(data))
-        code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+        code, out, err = solve(None, ("nodes[0]", "omega", 1000.0))
         assert (code, out) == (2, "")
         assert err == "qnet: input error: 'edges' must be a list, got None\n"
         # JSON true is no more a number in a float field than in an index
-        data["edges"] = []
-        data["load"]["gamma_load"] = True
-        path.write_text(json.dumps(data))
-        code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+        code, out, err = solve([], ("load", "gamma_load", True))
         assert (code, out) == (2, "")
         assert err == "qnet: input error: field 'gamma_load' in load must be float, got True\n"
         # nor is a number written as a JSON string
-        data["load"]["gamma_load"] = 1.0
         for where, key, value, kind in (
             ("nodes[0]", "omega", "1000", "float"),
             ("load", "node", "1", "int"),
             ("drive", "rabi_re", "0.1", "float"),
         ):
-            bad = json.loads(json.dumps(data))
-            (bad["nodes"][0] if where == "nodes[0]" else bad[where])[key] = value
-            path.write_text(json.dumps(bad))
-            code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+            code, out, err = solve([], ("load", "gamma_load", 1.0), (where, key, value))
             assert (code, out) == (2, "")
             assert err == f"qnet: input error: field '{key}' in {where} must be {kind}, got '{value}'\n"
 
@@ -208,9 +175,7 @@ class TestSolve:
         ids=["root-a-list", "self-coupling"],
     )
     def test_config_structure_errors_exit_2(self, capsys, tmp_path, change, message):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(change(json.loads((CONFIGS / "two_node.json").read_text()))))
-        code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+        code, out, err = run_quietly(capsys, "solve", "--config", bundled_config(tmp_path, change))
         assert (code, out) == (2, "")
         assert err == f"qnet: input error: {message}\n"
         assert "Traceback" not in err
@@ -227,7 +192,7 @@ class TestSolve:
         ],
     )
     def test_non_finite_result_exits_3(self, capsys, tmp_path, command, key, value):
-        path = bundled_with(tmp_path, "drive", key, value)
+        path = bundled_config(tmp_path, lambda data: data["drive"].update({key: value}))
         code, out, err = run_quietly(capsys, command, "--config", path)
         assert (code, out) == (3, "")
         assert err.startswith("qnet: ") and err.count("\n") == 1
@@ -239,25 +204,25 @@ class TestSolve:
         ids=["detuning", "load-shift"],
     )
     def test_overflowing_matrix_entry_exits_3(self, capsys, tmp_path, omegas, omega_d, delta_omega):
-        data = json.loads((CONFIGS / "two_node.json").read_text())
-        for node, omega in zip(data["nodes"], omegas):
-            node["omega"] = omega
-        data["drive"]["omega_d"] = omega_d
-        data["load"]["delta_omega"] = delta_omega
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        code, out, err = run_quietly(capsys, "solve", "--config", str(path))
+        def change(data):
+            for node, omega in zip(data["nodes"], omegas):
+                node["omega"] = omega
+            data["drive"]["omega_d"] = omega_d
+            data["load"]["delta_omega"] = delta_omega
+
+        path = bundled_config(tmp_path, change)
+        code, out, err = run_quietly(capsys, "solve", "--config", path)
         assert (code, out) == (3, "")
         assert err == "qnet: steady-state matrix entries overflow double precision\n"
         if delta_omega:  # the load-free matrix is finite, and thevenin never reads the load
-            code, out, _ = run_quietly(capsys, "thevenin", "--config", str(path))
+            code, out, _ = run_quietly(capsys, "thevenin", "--config", path)
             assert code == 0
             strict_json(out)
 
     def test_overflowing_load_decay_config(self, capsys, tmp_path):
         # gamma_load = 1e308 is finite input: every command that reads the
         # load exits 3, and thevenin and match, which never read it, succeed
-        path = bundled_with(tmp_path, "load", "gamma_load", 1e308)
+        path = bundled_config(tmp_path, lambda data: data["load"].update(gamma_load=1e308))
         code, out, err = run_quietly(capsys, "solve", "--config", path)
         assert (code, out) == (3, "")
         assert err.startswith("qnet: condition estimate")
@@ -302,7 +267,7 @@ class TestMatch:
 
     def test_grid_check_on_an_undriven_network(self, capsys, tmp_path):
         # no power flows anywhere, so the refined optimum matches p_max = 0 exactly
-        path = bundled_with(tmp_path, "drive", "rabi_re", 0.0)
+        path = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=0.0))
         code, out, _ = run(capsys, "match", "--config", path, "--grid-check")
         assert code == 0
         payload = json.loads(out)
@@ -315,23 +280,14 @@ class TestMatch:
         assert json.loads(out)["feasible"] is True
 
     def test_lossless_network_exits_4(self, capsys, tmp_path):
-        path = two_node_config(
-            tmp_path,
-            intrinsic_decays=np.array([0.0, 0.0]),
-            drive=qnet.DriveSpec(node=0, omega_d=1001.3, rabi=0.1),
-        )
+        path = two_node_config(tmp_path, decays=[0.0, 0.0], drive=dict(omega_d=1001.3, rabi=0.1))
         code, _, err = run(capsys, "match", "--config", path)
         assert code == 4
         assert "gamma_th" in err
 
     def test_near_lossless_network_exit_4_states_the_floor(self, capsys, tmp_path):
         # gamma_th is positive but below the rounding floor of h_th
-        path = two_node_config(
-            tmp_path,
-            intrinsic_decays=np.array([1e-16, 0.0]),
-            couplings=np.array([[0.0, 2.5], [2.5, 0.0]]),
-            drive=qnet.DriveSpec(node=0, omega_d=1003.0, rabi=0.1),
-        )
+        path = two_node_config(tmp_path, decays=[1e-16, 0.0], j=2.5, drive=dict(omega_d=1003.0, rabi=0.1))
         code, _, err = run(capsys, "match", "--config", path)
         assert code == 4
         assert err == (
@@ -353,16 +309,7 @@ class TestSweep:
         assert len(lines) == 3
 
     def test_omega_gap_rows(self, capsys, tmp_path):
-        path = write_config(
-            tmp_path,
-            qnet.NetworkSpec(
-                node_frequencies=np.array([1000.0]),
-                intrinsic_decays=np.array([0.0]),
-                couplings=np.zeros((1, 1)),
-                drive=qnet.DriveSpec(node=0, omega_d=1000.0, rabi=0.0),
-                load=qnet.LoadSpec(node=0),
-            ),
-        )
+        path = write_config(tmp_path, network([1000.0], [0.0], drive=dict(rabi=0.0)))
         code, out, _ = run(
             capsys, "sweep", "--config", path, "--var", "omega",
             "--min", "999", "--max", "1001", "--points", "3",
@@ -402,7 +349,7 @@ class TestSweep:
 
     def test_undriven_gamma_load_rows_carry_nan_eta(self, capsys, tmp_path):
         # no power flows, so eta is undefined and the CSV field reads nan
-        path = bundled_with(tmp_path, "drive", "rabi_re", 0.0)
+        path = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=0.0))
         code, out, _ = run(
             capsys, "sweep", "--config", path, "--var", "gamma_load",
             "--min", "0.1", "--max", "100", "--points", "4", "--log",
@@ -569,10 +516,7 @@ class TestGen:
 class TestOracle:
     def test_report_fields(self, capsys, tmp_path):
         path = two_node_config(
-            tmp_path,
-            intrinsic_decays=np.array([1.0, 1.0]),
-            drive=qnet.DriveSpec(node=0, omega_d=1002.0, rabi=0.05),
-            load=qnet.LoadSpec(node=1, delta_omega=0.0, gamma_load=0.5),
+            tmp_path, decays=[1.0, 1.0], drive=dict(omega_d=1002.0, rabi=0.05), load=dict(gamma_load=0.5)
         )
         code, out, _ = run(capsys, "oracle", "--config", path, "--n-max", "3")
         assert code == 0
@@ -597,11 +541,8 @@ class TestOracle:
 
     def test_a_mode_that_never_decays_exits_3(self, capsys, tmp_path):
         path = two_node_config(
-            tmp_path,
-            intrinsic_decays=np.array([0.0, 1.24]),
-            couplings=np.zeros((2, 2)),
-            drive=qnet.DriveSpec(node=0, omega_d=1000.5, rabi=0.1),
-            load=qnet.LoadSpec(node=1, delta_omega=0.0, gamma_load=0.5),
+            tmp_path, decays=[0.0, 1.24], j=0.0, drive=dict(omega_d=1000.5, rabi=0.1),
+            load=dict(gamma_load=0.5),
         )
         code, out, err = run_quietly(capsys, "oracle", "--config", path, "--n-max", "3")
         assert (code, out) == (3, "")
@@ -657,11 +598,7 @@ class TestOutOfMemory:
 
     def run_capped(self, *argv):
         pytest.importorskip("resource")
-        return subprocess.run(
-            [sys.executable, "-c", self.LIMIT, *argv],
-            env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")},
-            capture_output=True, text=True, timeout=120,
-        )
+        return child(["-c", self.LIMIT, *argv])
 
     def test_sweep_with_too_many_points_exits_2(self):
         done = self.run_capped(
@@ -711,11 +648,7 @@ class TestModuleEntryPoint:
     script does, in a child interpreter."""
 
     def run_module(self, *argv):
-        return subprocess.run(
-            [sys.executable, "-m", "qnet.cli", *argv],
-            env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")},
-            capture_output=True, text=True, timeout=120,
-        )
+        return child(["-m", "qnet.cli", *argv])
 
     def test_gen_and_nan_config_exit_codes(self, tmp_path):
         out_path = tmp_path / "chain.json"
@@ -723,7 +656,7 @@ class TestModuleEntryPoint:
         assert (done.returncode, done.stderr) == (0, "")
         assert qnet.load_config(out_path).n_nodes == 3
 
-        bad = bundled_with(tmp_path, "nodes", "omega", float("nan"))
+        bad = bundled_config(tmp_path, lambda data: data["nodes"][0].update(omega=float("nan")))
         done = self.run_module("solve", "--config", bad)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("qnet: input error:")

@@ -14,12 +14,11 @@ interpreter, because this test process imported scipy long ago.
 """
 import ast
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import bundled_config, child
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qnet"
@@ -34,13 +33,7 @@ def fresh_run(statements):
         "code = None\n" + statements
         + "\nimport json, sys\nprint(json.dumps({'code': code, 'modules': sorted(sys.modules)}))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    done = child(["-c", probe])
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     return result["code"], set(result["modules"])
@@ -118,14 +111,6 @@ def test_import_cli_loads_no_scipy():
     assert executor_modules(modules) == []
 
 
-def nan_config(tmp_path):
-    data = json.loads(Path(TWO_NODE).read_text())
-    data["load"]["gamma_load"] = float("nan")
-    path = tmp_path / "nan.json"
-    path.write_text(json.dumps(data))
-    return str(path)
-
-
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -137,7 +122,8 @@ def nan_config(tmp_path):
     ids=["gen-random", "sweep-omega", "nan-config"],
 )
 def test_commands_without_a_factorization_load_no_scipy(tmp_path, argv, expected):
-    argv = [arg.format(tmp=tmp_path, nan=nan_config(tmp_path)) for arg in argv]
+    nan = bundled_config(tmp_path, lambda data: data["load"].update(gamma_load=float("nan")))
+    argv = [arg.format(tmp=tmp_path, nan=nan) for arg in argv]
     code, modules = cli_run(*argv)
     assert code == expected
     assert scipy_modules(modules) == []

@@ -9,28 +9,21 @@ import scipy.sparse as sp
 import qnet
 from qnet.errors import CapacityError, NonUniqueSteadyState, QnetError, ValidationError
 
+from conftest import network
+
 WEAK_DRIVE = 0.05 * np.exp(0.6j)  # |rabi| = 0.05 * gamma with a nontrivial phase
 
 
 def _one_node(gamma=1.0, rabi=0.0 + 0.0j, omega_d=1000.0, gamma_load=0.0):
-    return qnet.NetworkSpec(
-        node_frequencies=np.array([1000.0]),
-        intrinsic_decays=np.array([gamma]),
-        couplings=np.zeros((1, 1)),
-        drive=qnet.DriveSpec(node=0, omega_d=omega_d, rabi=rabi),
-        load=qnet.LoadSpec(node=0, delta_omega=0.0, gamma_load=gamma_load),
-    )
+    return network([1000.0], [gamma], {}, dict(omega_d=omega_d, rabi=rabi), dict(gamma_load=gamma_load))
 
 
 def _two_node(rabi=WEAK_DRIVE, delta_omega=0.3, gamma_load=0.4):
     """Weak coherent drive on a lossy pair; occupations stay far below the
     truncation so the Fock-space route converges quickly."""
-    return qnet.NetworkSpec(
-        node_frequencies=np.array([1000.0, 1000.0]),
-        intrinsic_decays=np.array([1.0, 1.0]),
-        couplings=np.array([[0.0, 2.5], [2.5, 0.0]]),
-        drive=qnet.DriveSpec(node=0, omega_d=1002.5, rabi=rabi),
-        load=qnet.LoadSpec(node=1, delta_omega=delta_omega, gamma_load=gamma_load),
+    return network(
+        [1000.0, 1000.0], [1.0, 1.0], {(0, 1): 2.5}, dict(omega_d=1002.5, rabi=rabi),
+        dict(delta_omega=delta_omega, gamma_load=gamma_load),
     )
 
 
@@ -143,25 +136,16 @@ def _textbook_generator(spec, n_max):
     return apply
 
 
-def _spec(frequencies, decays, edges, drive, load):
-    couplings = np.zeros((len(frequencies), len(frequencies)))
-    for (i, j), value in edges.items():
-        couplings[i, j] = couplings[j, i] = value
-    return qnet.NetworkSpec(
-        np.array(frequencies), np.array(decays), couplings, qnet.DriveSpec(**drive), qnet.LoadSpec(**load)
-    )
-
-
 TEXTBOOK_SPECS = {
-    "one-node": (_spec(
+    "one-node": (network(
         [1000.0], [0.7], {}, dict(node=0, omega_d=1000.9, rabi=0.3 - 0.2j),
         dict(node=0, delta_omega=0.4, gamma_load=0.5),
     ), 4),
-    "two-node-lossless": (_spec(
+    "two-node-lossless": (network(
         [1000.0, 1001.2], [0.8, 0.0], {(0, 1): 1.7}, dict(node=0, omega_d=1000.5, rabi=0.25j),
         dict(node=0, delta_omega=-0.6, gamma_load=0.3),
     ), 3),
-    "three-node-chain": (_spec(
+    "three-node-chain": (network(
         [999.5, 1000.0, 1000.8], [0.5, 1.1, 0.0], {(0, 1): 1.3, (1, 2): -0.9},
         dict(node=0, omega_d=1000.2, rabi=0.2 * np.exp(2.1j)),
         dict(node=1, delta_omega=0.35, gamma_load=0.6),
@@ -230,13 +214,7 @@ class TestSteadyStateDensity:
 
     def test_degenerate_kernel_detected(self):
         # no dissipation at all: every diagonal state is stationary
-        spec = qnet.NetworkSpec(
-            node_frequencies=np.array([1000.0]),
-            intrinsic_decays=np.array([0.0]),
-            couplings=np.zeros((1, 1)),
-            drive=qnet.DriveSpec(node=0, omega_d=1000.4, rabi=0.0),
-            load=qnet.LoadSpec(node=0, gamma_load=0.0),
-        )
+        spec = network([1000.0], [0.0], drive=dict(omega_d=1000.4, rabi=0.0))
         cfg = qnet.FockConfig(n_max=2, nodes=1)
         with pytest.raises(NonUniqueSteadyState):
             qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
@@ -252,6 +230,20 @@ class TestSteadyStateDensity:
         cfg = qnet.FockConfig(n_max=1, nodes=1)
         with pytest.raises(NonUniqueSteadyState, match="kernel residual 1.000e[+]00 too large"):
             qnet.steady_state_density(sp.identity(4, dtype=complex, format="csr"), cfg)
+
+    def test_real_generator_gives_the_complex_routes_state(self):
+        # on resonance and undriven, the 1-node generator has no imaginary part
+        cfg = qnet.FockConfig(n_max=2, nodes=1)
+        liou = qnet.build_liouvillian(_one_node(gamma=0.7, gamma_load=0.5), cfg)
+        assert not liou.imag.count_nonzero()
+        rho = qnet.steady_state_density(liou, cfg).rho
+        real_rho = qnet.steady_state_density(liou.real, cfg).rho
+        assert real_rho.dtype == rho.dtype and real_rho.tobytes() == rho.tobytes()
+
+    def test_real_generator_without_a_kernel_detected(self):
+        cfg = qnet.FockConfig(n_max=1, nodes=1)
+        with pytest.raises(NonUniqueSteadyState, match="kernel residual"):
+            qnet.steady_state_density(np.eye(4), cfg)
 
     def test_kernel_that_is_no_density_matrix_rejected(self):
         # the projector off vec(rho) has rho as its kernel: unit trace,
@@ -324,9 +316,6 @@ class TestOracleReport:
 
     def test_a_mode_that_never_decays_is_refused(self):
         # node 0 has no loss and no edge, so its driven mode oscillates forever
-        spec = _spec(
-            [1000.0, 1000.0], [0.0, 1.24], {}, dict(node=0, omega_d=1000.5, rabi=0.1),
-            dict(node=1, delta_omega=0.0, gamma_load=0.5),
-        )
+        spec = network([1000.0, 1000.0], [0.0, 1.24], drive=dict(omega_d=1000.5), load=dict(gamma_load=0.5))
         with pytest.raises(NonUniqueSteadyState, match=r"max Im eigenvalue of k 0\.000e\+00"):
             qnet.oracle_report(spec, n_max=3)

@@ -8,19 +8,13 @@ import pytest
 import qnet
 from qnet.errors import InvalidMoments, UnsupportedTopology
 
-from conftest import load_settings, make_random_network, two_node_resonant
+from conftest import load_settings, make_random_network, network, two_node_resonant
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _one_node(gamma=0.8, rabi=0.1 + 0.0j, omega_0=1000.0):
-    return qnet.NetworkSpec(
-        node_frequencies=np.array([omega_0]),
-        intrinsic_decays=np.array([gamma]),
-        couplings=np.zeros((1, 1)),
-        drive=qnet.DriveSpec(node=0, omega_d=omega_0, rabi=rabi),
-        load=qnet.LoadSpec(node=0, delta_omega=0.0, gamma_load=0.0),
-    )
+    return network([omega_0], [gamma], drive=dict(omega_d=omega_0, rabi=rabi))
 
 
 class TestHandComputedCases:
@@ -57,13 +51,7 @@ class TestZeroCases:
         assert report.balance_residual == 0.0
 
     def test_lossless_network_radiates_nothing(self):
-        spec = qnet.NetworkSpec(
-            node_frequencies=np.array([1000.0]),
-            intrinsic_decays=np.array([0.0]),
-            couplings=np.zeros((1, 1)),
-            drive=qnet.DriveSpec(node=0, omega_d=1000.5, rabi=0.1),
-            load=qnet.LoadSpec(node=0, gamma_load=2.0),
-        )
+        spec = network([1000.0], [0.0], drive=dict(omega_d=1000.5), load=dict(gamma_load=2.0))
         state = qnet.solve_amplitudes(spec)
         assert qnet.power_report(spec, state).p_r == 0.0
 
@@ -93,12 +81,8 @@ class TestPowerBalance:
     def test_drive_on_a_decoupled_lossless_node(self, omega_d, rabi):
         # p_in is exactly zero but computes as a rounding-level remainder of
         # either sign, so it cannot be the scale of the balance residual.
-        spec = qnet.NetworkSpec(
-            node_frequencies=np.array([1000.0, 1000.0]),
-            intrinsic_decays=np.array([0.0, 1.0]),
-            couplings=np.zeros((2, 2)),
-            drive=qnet.DriveSpec(node=0, omega_d=omega_d, rabi=rabi),
-            load=qnet.LoadSpec(node=1, gamma_load=1.0),
+        spec = network(
+            [1000.0, 1000.0], [0.0, 1.0], {}, dict(omega_d=omega_d, rabi=rabi), dict(gamma_load=1.0)
         )
         report = qnet.power_report(spec, qnet.solve_amplitudes(spec))
         assert report.p_r == report.p_l == 0.0
@@ -211,16 +195,12 @@ class TestEfficiency:
 class TestTwoNodeEfficiencyFormula:
     def _random_two_node(self, seed):
         rng = np.random.default_rng(seed)
-        return qnet.NetworkSpec(
-            node_frequencies=1000.0 + rng.normal(0.0, 1.5, size=2),
-            intrinsic_decays=rng.uniform(0.1, 3.0, size=2),
-            couplings=(lambda j: np.array([[0.0, j], [j, 0.0]]))(rng.normal(2.5, 1.0)),
-            drive=qnet.DriveSpec(node=0, omega_d=1000.0 + rng.normal(), rabi=0.2),
-            load=qnet.LoadSpec(
-                node=1,
-                delta_omega=float(rng.normal()),
-                gamma_load=float(rng.uniform(0.05, 8.0)),
-            ),
+        return network(
+            1000.0 + rng.normal(0.0, 1.5, size=2),
+            rng.uniform(0.1, 3.0, size=2),
+            {(0, 1): rng.normal(2.5, 1.0)},
+            dict(omega_d=1000.0 + rng.normal(), rabi=0.2),
+            dict(delta_omega=float(rng.normal()), gamma_load=float(rng.uniform(0.05, 8.0))),
         )
 
     @pytest.mark.parametrize("seed", range(50))
@@ -233,13 +213,7 @@ class TestTwoNodeEfficiencyFormula:
     def test_strong_coupling_limit(self):
         # huge inter-node coupling: only the load node's own loss competes
         g2, g_l = 0.7, 1.9
-        spec = qnet.NetworkSpec(
-            node_frequencies=np.array([1000.0, 1000.0]),
-            intrinsic_decays=np.array([1.0, g2]),
-            couplings=np.array([[0.0, 4000.0], [4000.0, 0.0]]),
-            drive=qnet.DriveSpec(node=0, omega_d=1000.0, rabi=0.1),
-            load=qnet.LoadSpec(node=1, delta_omega=0.0, gamma_load=g_l),
-        )
+        spec = network([1000.0, 1000.0], [1.0, g2], {(0, 1): 4000.0}, load=dict(gamma_load=g_l))
         assert qnet.matched_efficiency_two_node(spec) == pytest.approx(
             g_l / (g2 + g_l), rel=1e-6
         )

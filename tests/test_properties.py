@@ -8,12 +8,9 @@ CLI answers every mutated config with a documented exit code and strict
 JSON, and a failing property is reported under this project's pytest
 settings."""
 import contextlib
-import copy
 import dataclasses
 import io
 import json
-import subprocess
-import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -28,7 +25,7 @@ import qnet  # noqa: E402
 from qnet import steady  # noqa: E402
 from qnet.cli import main  # noqa: E402
 
-from conftest import make_random_network, strict_json  # noqa: E402
+from conftest import bundled_config, child, make_random_network, network, strict_json  # noqa: E402
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -77,14 +74,9 @@ def _close(a, b, rtol=1e-10):
 # Found by Hypothesis: couplings of 3.6e-56 and 9.8e-264 leave a load
 # amplitude of 1.2e-321, a subnormal; the two routes land one subnormal
 # step (4.9e-324) apart, 0.4 % of the value.
-_SUBNORMAL_LOAD_AMPLITUDE = qnet.NetworkSpec(
-    node_frequencies=np.array([995.0, 995.0, 995.0]),
-    intrinsic_decays=np.array([0.5, 0.25, 0.125]),
-    couplings=np.array([[0.0, 3.59876162e-56, 0.0],
-                        [3.59876162e-56, 0.0, 9.80846761e-264],
-                        [0.0, 9.80846761e-264, 0.0]]),
-    drive=qnet.DriveSpec(node=2, omega_d=990.0, rabi=0.4375 + 0j),
-    load=qnet.LoadSpec(node=0, delta_omega=0.0, gamma_load=0.0),
+_SUBNORMAL_LOAD_AMPLITUDE = network(
+    [995.0, 995.0, 995.0], [0.5, 0.25, 0.125], {(0, 1): 3.59876162e-56, (1, 2): 9.80846761e-264},
+    dict(node=2, omega_d=990.0, rabi=0.4375 + 0j), dict(node=0),
 )
 
 
@@ -208,21 +200,21 @@ _replacements = st.one_of(
 @example(("drive", "omega_d"), 1e308)
 @example(("load", "gamma_load"), 1e308)
 def test_mutated_config_gets_a_documented_answer(path, value):
-    data = copy.deepcopy(_BUNDLED)
-    parent = data
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is _DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
+    def change(data):
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "net.json"
-        config.write_text(json.dumps(data))
+        config = bundled_config(Path(tmp), change)
         for command in ("solve", "thevenin", "match"):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, "--config", str(config)])
+                code = main([command, "--config", config])
             assert code in (0, 2, 3, 4, 5)
             if code == 0:
                 strict_json(out.getvalue())
@@ -244,13 +236,10 @@ def test_a_failing_property_is_reported_and_the_session_goes_on(tmp_path):
             pass
     """))
     settings_file = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+    done = child(
+        ["-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-c", str(settings_file), "--rootdir", str(tmp_path), "test_probe.py"],
         cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=120,
     )
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout

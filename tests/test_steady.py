@@ -11,27 +11,18 @@ import qnet
 from qnet import steady
 from qnet.errors import ConvergenceFailure, SingularNetwork, ValidationError
 
-from conftest import make_random_network, make_sparse_network
+from conftest import make_random_network, make_sparse_network, network
 
 
 def _one_node(omega_d, gamma=1.0, rabi=0.1 + 0.0j, omega_0=1000.0, gamma_load=0.0):
-    return qnet.NetworkSpec(
-        node_frequencies=np.array([omega_0]),
-        intrinsic_decays=np.array([gamma]),
-        couplings=np.zeros((1, 1)),
-        drive=qnet.DriveSpec(node=0, omega_d=omega_d, rabi=rabi),
-        load=qnet.LoadSpec(node=0, delta_omega=0.0, gamma_load=gamma_load),
-    )
+    return network([omega_0], [gamma], {}, dict(omega_d=omega_d, rabi=rabi), dict(gamma_load=gamma_load))
 
 
 def _two_node(omega_d, gamma=(1.0, 1.0), j=2.5, omega_0=1000.0, rabi=0.1,
               delta_omega=0.0, gamma_load=0.0):
-    return qnet.NetworkSpec(
-        node_frequencies=np.array([omega_0, omega_0]),
-        intrinsic_decays=np.asarray(gamma, dtype=float),
-        couplings=np.array([[0.0, j], [j, 0.0]]),
-        drive=qnet.DriveSpec(node=0, omega_d=omega_d, rabi=rabi),
-        load=qnet.LoadSpec(node=1, delta_omega=delta_omega, gamma_load=gamma_load),
+    return network(
+        [omega_0, omega_0], gamma, {(0, 1): j}, dict(omega_d=omega_d, rabi=rabi),
+        dict(delta_omega=delta_omega, gamma_load=gamma_load),
     )
 
 
@@ -64,9 +55,9 @@ class TestEffectiveMatrix:
         ids=["detuning", "load-shift"],
     )
     def test_overflowing_diagonal_is_singular_without_warnings(self, frequencies, omega_d, delta_omega):
-        spec = qnet.NetworkSpec(
-            frequencies, [1.0, 1.0], [[0.0, 2.5], [2.5, 0.0]], qnet.DriveSpec(0, omega_d, 0.1),
-            qnet.LoadSpec(1, delta_omega, 2.0),
+        spec = network(
+            frequencies, [1.0, 1.0], {(0, 1): 2.5}, dict(omega_d=omega_d),
+            dict(delta_omega=delta_omega, gamma_load=2.0),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -325,14 +316,9 @@ class TestSpectralDensity:
         # frequencies near 1000 and losses near 1e-6: unshifted eigenvalues
         # would carry an error of eps * 1000 against Lorentzians 1e-6 wide
         rng = np.random.default_rng(seed)
-        couplings = np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1)
-        spec = qnet.NetworkSpec(
-            node_frequencies=1000.0 + rng.uniform(-1.0, 1.0, n),
-            intrinsic_decays=1e-6 * rng.uniform(0.5, 2.0, n),
-            couplings=couplings + couplings.T,
-            drive=qnet.DriveSpec(node=0, omega_d=1000.0, rabi=0.1),
-            load=qnet.LoadSpec(node=n - 1, gamma_load=0.0),
-        )
+        couplings = rng.uniform(-0.5, 0.5, (n, n))
+        edges = {(i, j): couplings[i, j] for i, j in zip(*np.triu_indices(n, 1))}
+        spec = network(1000.0 + rng.uniform(-1.0, 1.0, n), 1e-6 * rng.uniform(0.5, 2.0, n), edges)
         w = np.array(spec.couplings)
         np.fill_diagonal(w, spec.node_frequencies)
         modes = np.linalg.eigvalsh(w)
@@ -444,9 +430,7 @@ class TestTimeDomainOracle:
         assert err.value.residual == 1.0
 
     # a lossless, unloaded node driven on resonance has an all-zero matrix
-    LOSSLESS_NODE = qnet.NetworkSpec(
-        [1000.0], [0.0], [[0.0]], qnet.DriveSpec(0, 1000.0, 0.1), qnet.LoadSpec(0)
-    )
+    LOSSLESS_NODE = network([1000.0], [0.0])
 
     @pytest.mark.parametrize(
         "spec", [_two_node(omega_d=1001.0, gamma=(0.0, 0.0)), LOSSLESS_NODE], ids=["two-node", "zero-matrix"]
@@ -472,9 +456,6 @@ class TestTimeDomainOracle:
         ids=["slow-mode", "overflowing-rate"],
     )
     def test_budget_beyond_2e8_steps_rejected(self, frequencies, decays, couplings, omega_d, steps):
-        spec = qnet.NetworkSpec(
-            frequencies, decays, [[0.0, couplings], [couplings, 0.0]], qnet.DriveSpec(0, omega_d, 0.1),
-            qnet.LoadSpec(1),
-        )
+        spec = network(frequencies, decays, {(0, 1): couplings}, dict(omega_d=omega_d))
         with pytest.raises(ValidationError, match=f"needs {steps} RK4 steps, more than 2e8"):
             qnet.time_domain_steady_state(spec)

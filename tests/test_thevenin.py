@@ -12,29 +12,17 @@ import pytest
 import qnet
 from qnet.errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
 
-from conftest import load_settings, make_random_network, radiated_overflow, two_node_resonant
+from conftest import load_settings, make_random_network, network, radiated_overflow, two_node_resonant
 
 
 def _two_node(omega_d, gamma=(1.0, 0.5), j=2.5, omega_0=1000.0, rabi=0.1 + 0.05j):
-    return qnet.NetworkSpec(
-        node_frequencies=np.array([omega_0, omega_0]),
-        intrinsic_decays=np.asarray(gamma, dtype=float),
-        couplings=np.array([[0.0, j], [j, 0.0]]),
-        drive=qnet.DriveSpec(node=0, omega_d=omega_d, rabi=rabi),
-        load=qnet.LoadSpec(node=1, delta_omega=0.0, gamma_load=0.0),
-    )
+    return network([omega_0, omega_0], gamma, {(0, 1): j}, dict(omega_d=omega_d, rabi=rabi))
 
 
 class TestResolventRoute:
     def test_single_node_identity_reduction(self):
         omega_0, omega_d, gamma, rabi = 1000.0, 1000.7, 0.8, 0.3 - 0.2j
-        spec = qnet.NetworkSpec(
-            node_frequencies=np.array([omega_0]),
-            intrinsic_decays=np.array([gamma]),
-            couplings=np.zeros((1, 1)),
-            drive=qnet.DriveSpec(node=0, omega_d=omega_d, rabi=rabi),
-            load=qnet.LoadSpec(node=0),
-        )
+        spec = network([omega_0], [gamma], drive=dict(omega_d=omega_d, rabi=rabi))
         th = qnet.thevenin_equivalent(spec)
         assert th.h_th == pytest.approx(1j * (omega_d - omega_0) - gamma / 2)
         assert th.omega_th == pytest.approx(rabi)
@@ -84,13 +72,7 @@ class TestEliminationRoute:
         assert th.h_th == 1j * th.delta_omega_th - th.gamma_th / 2
 
     def test_decoupled_network_has_no_path(self):
-        spec = qnet.NetworkSpec(
-            node_frequencies=np.array([1000.0, 1001.0, 999.5]),
-            intrinsic_decays=np.array([1.0, 0.5, 0.7]),
-            couplings=np.zeros((3, 3)),
-            drive=qnet.DriveSpec(node=0, omega_d=1000.3, rabi=0.2),
-            load=qnet.LoadSpec(node=2),
-        )
+        spec = network([1000.0, 1001.0, 999.5], [1.0, 0.5, 0.7], drive=dict(omega_d=1000.3, rabi=0.2))
         assert qnet.thevenin_by_elimination(spec).omega_th == 0.0
         assert qnet.thevenin_equivalent(spec).omega_th == 0.0
 
@@ -128,12 +110,8 @@ class TestLoadAmplitude:
 
     def test_single_node_exact(self):
         omega_d, gamma, rabi, g_l = 1000.4, 0.9, 0.25j, 1.7
-        spec = qnet.NetworkSpec(
-            node_frequencies=np.array([1000.0]),
-            intrinsic_decays=np.array([gamma]),
-            couplings=np.zeros((1, 1)),
-            drive=qnet.DriveSpec(node=0, omega_d=omega_d, rabi=rabi),
-            load=qnet.LoadSpec(node=0, delta_omega=0.3, gamma_load=g_l),
+        spec = network(
+            [1000.0], [gamma], {}, dict(omega_d=omega_d, rabi=rabi), dict(delta_omega=0.3, gamma_load=g_l)
         )
         th = qnet.thevenin_equivalent(spec)
         direct = qnet.solve_amplitudes(spec).amplitudes[0]
@@ -196,13 +174,7 @@ class TestMatchedLoad:
 
     def test_single_node_resonant(self):
         gamma, rabi, omega_0 = 1.1, 0.4, 1000.0
-        spec = qnet.NetworkSpec(
-            node_frequencies=np.array([omega_0]),
-            intrinsic_decays=np.array([gamma]),
-            couplings=np.zeros((1, 1)),
-            drive=qnet.DriveSpec(node=0, omega_d=omega_0, rabi=rabi),
-            load=qnet.LoadSpec(node=0),
-        )
+        spec = network([omega_0], [gamma], drive=dict(omega_d=omega_0, rabi=rabi))
         matched = qnet.matched_load(spec)
         assert matched.delta_omega == pytest.approx(0.0, abs=1e-14)
         assert matched.gamma_load == pytest.approx(gamma, rel=1e-12)
