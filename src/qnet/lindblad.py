@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
 from .network import NetworkSpec, _integer
-from .power import _rel, general_power_from_correlators, power_report
+from .power import _EPS, _rel, general_power_from_correlators, power_report
 from .steady import SteadyState, solve_amplitudes
 
 __all__ = [
@@ -56,12 +56,8 @@ class FockConfig:
     nodes: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n_max", _integer("n_max", self.n_max))
-        object.__setattr__(self, "nodes", _integer("nodes", self.nodes))
-        if self.n_max < 1:
-            raise ValidationError(f"n_max must be >= 1, got {self.n_max}")
-        if self.nodes < 1:
-            raise ValidationError(f"nodes must be >= 1, got {self.nodes}")
+        object.__setattr__(self, "n_max", _integer("n_max", self.n_max, 1))
+        object.__setattr__(self, "nodes", _integer("nodes", self.nodes, 1))
         if self.dim > DIM_CAP:
             raise CapacityError(
                 f"Fock dimension {self.dim} exceeds the cap of {DIM_CAP} "
@@ -216,7 +212,7 @@ def _worst_factorization_defect(amps, corr) -> float:
     re = np.outer(amps.real, amps.real) + np.outer(amps.imag, amps.imag)
     im = np.outer(amps.real, amps.imag) - np.outer(amps.imag, amps.real)
     defect = np.hypot(corr.real - re, corr.imag - im)
-    return float((defect / np.maximum(np.hypot(re, im), 1e-300)).max())
+    return float((defect / np.maximum(np.hypot(re, im), _EPS)).max())
 
 
 def factorization_residual(state: DensityState) -> float:

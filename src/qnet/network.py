@@ -29,12 +29,16 @@ __all__ = [
 ]
 
 
-def _integer(name, value) -> int:
+def _integer(name, value, minimum=None) -> int:
     """value as a Python int, or ValidationError naming the argument; True
-    is not 1, nor 0.5 a node index or a count."""
+    is not 1, nor 0.5 a node index or a count. A count below `minimum`
+    fails too."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _finite(name, values, kinds="iuf") -> np.ndarray:
@@ -247,9 +251,7 @@ def build_chain(n_nodes, omega_0, j, gamma, drive: DriveSpec, load: LoadSpec) ->
     coupled with strength j. A single node has no neighbours and therefore a
     zero coupling matrix.
     """
-    n_nodes = _integer("n_nodes", n_nodes)
-    if n_nodes < 1:
-        raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
+    n_nodes = _integer("n_nodes", n_nodes, 1)
     omega_0 = _scalar("omega_0", _finite("omega_0", omega_0))
     j = _scalar("j", _finite("j", j))
     gamma = _scalar("gamma", _finite("gamma", gamma))
@@ -270,18 +272,14 @@ def build_random_all_to_all(
     a generator seeded with `seed`, so identical arguments reproduce the
     identical spec bit for bit. Negative draws are kept.
     """
-    n_nodes = _integer("n_nodes", n_nodes)
-    if n_nodes < 1:
-        raise ValidationError(f"n_nodes must be >= 1, got {n_nodes}")
+    n_nodes = _integer("n_nodes", n_nodes, 1)
     omega_0 = _scalar("omega_0", _finite("omega_0", omega_0))
     j_avg = _scalar("j_avg", _finite("j_avg", j_avg))
     j_std = _scalar("j_std", _finite("j_std", j_std))
     if j_std < 0:
         raise ValidationError(f"j_std must be >= 0, got {j_std}")
     gamma = _scalar("gamma", _finite("gamma", gamma))
-    seed = _integer("seed", seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    seed = _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     couplings = np.zeros((n_nodes, n_nodes))
     iu = np.triu_indices(n_nodes, k=1)

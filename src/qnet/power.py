@@ -24,7 +24,8 @@ __all__ = [
     "power_report",
 ]
 
-# Floor of the scale against which a nonreal power part is judged.
+# Zero floor of a scale that may vanish: the nonreal power parts here,
+# _rel and lindblad's factorization defect divide by at least this.
 _EPS = 1e-300
 
 
@@ -120,7 +121,7 @@ def matched_efficiency_two_node(spec: NetworkSpec) -> float:
 
 def _rel(value, reference) -> float:
     """|value - reference| relative to |reference|; 0 when both are 0."""
-    return abs(value - reference) / max(abs(reference), 1e-300)
+    return abs(value - reference) / max(abs(reference), _EPS)
 
 
 def _powers(spec: NetworkSpec, amps, gamma_load):

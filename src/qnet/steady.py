@@ -128,21 +128,17 @@ class _Factorization:
 
     def __init__(self, matrix: np.ndarray):
         # deferred so that commands that factor no matrix start without scipy
-        from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs, zgecon, zgetrf, zgetrs
+        from scipy.linalg.lapack import zgbcon, zgbtrf, zgecon, zgetrf
 
         n = matrix.shape[0]
         k = _bandwidth(matrix) if n > 8 else n - 1
         if 8 * k < n:
             self.band = k
-            # the routine itself: a closure or bound method over self would
-            # make a reference cycle, and the factors would wait for the gc
-            self._trs = zgbtrs
             band = _band_storage(matrix, k)
             anorm = np.abs(band).sum(axis=0).max()
             self.lu, self.piv, info = zgbtrf(band, k, k, overwrite_ab=1)
         else:
             self.band = None
-            self._trs = zgetrs
             anorm = np.linalg.norm(matrix, 1)
             self.lu, self.piv, info = zgetrf(matrix)
         if info > 0:
@@ -158,9 +154,11 @@ class _Factorization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution of matrix @ x = rhs for a vector or a column stack."""
+        from scipy.linalg.lapack import zgbtrs, zgetrs
+
         if self.band is None:
-            return self._trs(self.lu, self.piv, rhs)[0]
-        return self._trs(self.lu, self.band, self.band, rhs, self.piv)[0]
+            return zgetrs(self.lu, self.piv, rhs)[0]
+        return zgbtrs(self.lu, self.band, self.band, rhs, self.piv)[0]
 
 
 def _residual_bound(rhs) -> float:

@@ -95,11 +95,10 @@ def _resolvent_pair(spec: NetworkSpec):
     if spec._resolvent is not None:
         return spec._resolvent
     matrix = effective_matrix(spec, loaded=False)
-    n = spec.n_nodes
     load = spec.load.node
-    rhs = np.zeros((n, 2), dtype=complex)
+    rhs = np.zeros((spec.n_nodes, 2), dtype=complex)
     rhs[load, 0] = 1.0
-    rhs[spec.drive.node, 1] = spec.drive.rabi
+    rhs[:, 1] = drive_vector(spec)
     sol = _Factorization(matrix).solve(rhs)
     sol.setflags(write=False)
     x, y = sol.T
@@ -161,8 +160,16 @@ def load_amplitude_from_thevenin(th: TheveninEquivalent, load: LoadSpec) -> comp
 
 def load_power_thevenin(th: TheveninEquivalent, load: LoadSpec, omega_d: float) -> float:
     """Delivered power predicted by the single-node equivalent,
-    omega_d * gamma_load * |a_load|^2 with a_load from the reduced equation."""
-    return float(omega_d * load.gamma_load * abs(load_amplitude_from_thevenin(th, load)) ** 2)
+    omega_d * gamma_load * |a_load|^2 with a_load from the reduced equation.
+    Raises SingularNetwork when that power overflows double precision."""
+    amp_load = load_amplitude_from_thevenin(th, load)
+    try:
+        p_l = omega_d * load.gamma_load * abs(amp_load) ** 2
+    except OverflowError:  # float ** raises where float * returns inf
+        p_l = math.inf
+    if not math.isfinite(p_l):
+        raise SingularNetwork(f"reduced load power overflows: p_l = {p_l!r}")
+    return float(p_l)
 
 
 def matched_load(spec: NetworkSpec) -> MatchedLoad:
@@ -258,10 +265,12 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     The grid is solved in chunks of at most GRID_CHUNK_BYTES of matrices
     (one matrix when a single one is larger). A thread pool of one worker
     per usable CPU, or per chunk if fewer, maps them in grid order; one
-    chunk or one CPU runs on the calling thread and starts no thread. So
-    the map holds at most workers x GRID_CHUNK_BYTES of matrices, raises
-    the first failing chunk in grid order, stops at the chunks already
-    running, and returns the same bits as a serial loop.
+    chunk or one CPU runs on the calling thread and starts no thread. A
+    chunk taken after a chunk before it in grid order has raised returns
+    unsolved, so no solve of a later chunk starts after a failure. The map
+    thus holds at most workers x GRID_CHUNK_BYTES of matrices, raises the
+    first failing chunk in grid order and returns the same bits as a
+    serial loop.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -281,8 +290,11 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     # one stack of full matrices per worker, lent to one chunk at a time and
     # made on this thread: stacks freed by pool threads stay in their heaps
     stacks = [np.repeat(base[None], min(chunk, h_l.size), axis=0) for _ in range(workers)]
+    failed = []  # starts of the chunks that raised
 
     def solve_chunk(start):
+        if failed and start > min(failed):  # the map raises before this chunk
+            return
         part = h_l[start : start + chunk]
         stack = stacks.pop()
         mats = stack[: part.size]
@@ -293,18 +305,21 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
             try:
                 sols = np.linalg.solve(mats, np.broadcast_to(rhs[:, None], (part.size, rhs.size, 1)))
                 residual = np.linalg.norm((mats @ sols)[..., 0] - rhs, axis=1).max()
-            except np.linalg.LinAlgError as exc:
-                raise SingularNetwork(str(exc)) from None
+                _require_residual(residual, bound, "grid solve residual")
+            except BaseException as exc:
+                failed.append(start)
+                if isinstance(exc, np.linalg.LinAlgError):
+                    raise SingularNetwork(str(exc)) from None
+                raise
             finally:
                 stacks.append(stack)
-        _require_residual(residual, bound, "grid solve residual")
         amp_load[start : start + chunk] = sols[:, load, 0]
 
     if workers < 2:
         list(map(solve_chunk, starts))
     else:
         # pool.map reads the chunks in grid order and, once one raises,
-        # cancels those not yet started; leaving the block joins the pool
+        # cancels those no worker has taken; leaving the block joins the pool
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(solve_chunk, starts))
 

@@ -471,10 +471,11 @@ class TestGen:
         assert np.array_equal(spec.couplings, regenerated.couplings)
 
     def test_bad_params_exit_2(self, capsys, tmp_path):
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "gen", "chain", "--nodes", "0", "--out", str(tmp_path / "x.json")
         )
         assert code == 2
+        assert err == "qnet: input error: n_nodes must be >= 1, got 0\n"
 
     def test_negative_seed_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "x.json"

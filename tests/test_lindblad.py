@@ -39,7 +39,7 @@ class TestFockConfig:
         assert qnet.FockConfig(n_max=63, nodes=2).dim == 4096
 
     def test_cutoff_must_be_positive(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^n_max must be >= 1, got 0$"):
             qnet.FockConfig(n_max=0, nodes=1)
 
     def test_node_count_must_be_positive(self):

@@ -96,6 +96,15 @@ class TestBuildRandom:
         with pytest.raises(ValidationError):
             qnet.build_random_all_to_all(0, 1000.0, 2.5, 1.0, 1.0, 1, _drive(1), _load(1))
 
+    @pytest.mark.parametrize(
+        "n_nodes, seed, message",
+        [(0, 1, "^n_nodes must be >= 1, got 0$"), (3, -1, "^seed must be >= 0, got -1$")],
+        ids=["zero-nodes", "negative-seed"],
+    )
+    def test_count_below_its_minimum_is_named(self, n_nodes, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            qnet.build_random_all_to_all(n_nodes, 1000.0, 2.5, 1.0, 1.0, seed, _drive(3), _load(3))
+
     def test_negative_std_rejected(self):
         with pytest.raises(ValidationError):
             qnet.build_random_all_to_all(3, 1000.0, 2.5, -1.0, 1.0, 1, _drive(3), _load(3))

@@ -136,6 +136,14 @@ class TestLoadAmplitude:
         with pytest.raises(SingularNetwork, match=message):
             qnet.load_power_thevenin(th, load, 1000.0)
 
+    def test_overflowing_power_is_singular(self):
+        # a_load is -4.4e159, finite, but its square overflows
+        spec = network([1000.0, 1000.0], [1.0, 1.0], {(0, 1): 2.0}, dict(rabi=1e160), dict(gamma_load=1.0))
+        th = qnet.thevenin_equivalent(spec)
+        assert np.isfinite(qnet.load_amplitude_from_thevenin(th, spec.load))
+        with pytest.raises(SingularNetwork, match="^reduced load power overflows: p_l = inf$"):
+            qnet.load_power_thevenin(th, spec.load, 1000.0)
+
 
 def _weak_loss_chain(n):
     """Chain with gamma = 0.1 on every node, driven inside its band."""
@@ -459,6 +467,33 @@ class TestGridMapChunks:
         with pytest.raises(SingularNetwork, match="^chunk 0$"):
             qnet.load_power_map(spec, deltas, gammas)
         assert len(calls) <= 2 * 2
+
+    def test_no_chunk_is_solved_after_a_failure(self, monkeypatch):
+        # chunk 0 fails; a chunk that a worker takes after that returns
+        # unsolved, however soon the worker takes it
+        monkeypatch.setattr(qnet.thevenin, "_usable_cpus", lambda: 2)
+        spec = make_random_network(50, 5)
+        load = spec.load.node
+        deltas, gammas = np.linspace(-1.0, 1.0, 200), np.linspace(0.5, 1.5, 200)
+        first = qnet.effective_matrix(spec, loaded=False)[load, load] + qnet.steady._load_term(
+            deltas[0], gammas[0]
+        )
+        solve = np.linalg.solve
+        failed = threading.Event()
+        late = []
+
+        def failing_solve(a, b):
+            if failed.is_set():
+                late.append(a[0, load, load])
+            if a[0, load, load] == first:
+                failed.set()
+                raise np.linalg.LinAlgError("chunk 0")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        with pytest.raises(SingularNetwork, match="^chunk 0$"):
+            qnet.load_power_map(spec, deltas, gammas)
+        assert late == []
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         monkeypatch.delattr(qnet.thevenin.os, "sched_getaffinity", raising=False)
