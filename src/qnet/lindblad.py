@@ -25,10 +25,10 @@ import numpy as np
 # scipy.sparse is imported inside the functions that use it, so that
 # `import qnet` and the commands that build no generator start without it.
 
-from .errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
+from .errors import CapacityError, NonUniqueSteadyState, QnetError, ValidationError
 from .network import NetworkSpec, _integer
 from .power import _EPS, _rel, general_power_from_correlators, power_report
-from .steady import SteadyState, solve_amplitudes
+from .steady import SteadyState, _finite_result, solve_amplitudes
 
 __all__ = [
     "FockConfig",
@@ -101,8 +101,8 @@ def _mode_matrix(spec: NetworkSpec):
     rates r. k holds the detunings less i r_n / 2 on its diagonal and the
     couplings off it; entries that overflow are left for the caller."""
     rates = np.array(spec.intrinsic_decays, dtype=float)
-    rates[spec.load.node] += spec.load.gamma_load
     with np.errstate(over="ignore", invalid="ignore"):
+        rates[spec.load.node] += spec.load.gamma_load
         k = np.array(spec.couplings, dtype=complex)
         np.fill_diagonal(k, spec.node_frequencies - spec.drive.omega_d - 0.5j * rates)
         k[spec.load.node, spec.load.node] -= spec.load.delta_omega
@@ -117,9 +117,7 @@ def build_liouvillian(spec: NetworkSpec, cfg: FockConfig):
     import scipy.sparse as sp
 
     if cfg.nodes != spec.n_nodes:
-        raise ValidationError(
-            f"FockConfig is for {cfg.nodes} nodes but the network has {spec.n_nodes}"
-        )
+        raise ValidationError(f"FockConfig is for {cfg.nodes} nodes but the network has {spec.n_nodes}")
     ops = _annihilators(cfg)
     eye = sp.identity(cfg.dim, format="csr")
     k, rates = _mode_matrix(spec)
@@ -135,8 +133,7 @@ def build_liouvillian(spec: NetworkSpec, cfg: FockConfig):
             if rate != 0.0:
                 liou = liou + rate * sp.kron(a_k.conj(), a_k)
     liou = liou.tocsr()
-    if not np.isfinite(liou.data).all():
-        raise SingularNetwork("generator entries overflow double precision")
+    _finite_result(lambda: liou.data, "generator entries overflow double precision")
     return liou
 
 
@@ -147,7 +144,8 @@ def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
     by the trace constraint tr(rho) = 1. A degenerate kernel leaves the
     modified generator singular (NonUniqueSteadyState), and the solution
     must also satisfy the unmodified generator to a relative residual of
-    1e-9 before its density-matrix invariants are checked.
+    1e-9 before its density-matrix invariants are checked. A residual or
+    scale norm that overflows double precision raises SingularNetwork.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg
@@ -155,9 +153,7 @@ def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
     dim = cfg.dim
     size = dim * dim
     if liouvillian.shape != (size, size):
-        raise ValidationError(
-            f"generator shape {liouvillian.shape} does not match dim {dim}"
-        )
+        raise ValidationError(f"generator shape {liouvillian.shape} does not match dim {dim}")
 
     # complex even for a real generator: splu factors a real matrix as real
     # and then cannot solve for the complex right-hand side
@@ -171,12 +167,13 @@ def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
         solution = sp.linalg.splu(modified).solve(rhs)
     except RuntimeError as exc:
         raise NonUniqueSteadyState(str(exc)) from None
-    residual = np.linalg.norm(generator @ solution)
-    scale = sp.linalg.norm(generator) * np.linalg.norm(solution)
-    if not np.isfinite(residual) or residual > 1e-9 * scale:
-        raise NonUniqueSteadyState(
-            f"kernel residual {residual:.3e} too large; steady state unreliable"
-        )
+    # both norms sum squares, which overflow before the norms themselves do
+    residual, scale = _finite_result(
+        lambda: (np.linalg.norm(generator @ solution), sp.linalg.norm(generator) * np.linalg.norm(solution)),
+        "kernel residual or its scale overflows double precision",
+    )
+    if residual > 1e-9 * scale:
+        raise NonUniqueSteadyState(f"kernel residual {residual:.3e} too large; steady state unreliable")
 
     rho = solution.reshape((dim, dim), order="F")
 

@@ -70,14 +70,13 @@ def effective_matrix(spec: NetworkSpec, loaded: bool = True) -> np.ndarray:
     load term h_L added at [L, L] when `loaded`. Raises SingularNetwork
     when a diagonal entry overflows double precision; the couplings are
     finite, and so is every entry off the diagonal."""
-    matrix = spec.couplings * -1j
-    with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = 1j * (spec.drive.omega_d - spec.node_frequencies) - spec.intrinsic_decays / 2.0
+    def diagonal():
+        entries = 1j * (spec.drive.omega_d - spec.node_frequencies) - spec.intrinsic_decays / 2.0
         if loaded:
-            diagonal[spec.load.node] += _load_term(spec.load.delta_omega, spec.load.gamma_load)
-    if not np.isfinite(diagonal).all():
-        raise SingularNetwork("steady-state matrix entries overflow double precision")
-    np.fill_diagonal(matrix, diagonal)
+            entries[spec.load.node] += _load_term(spec.load.delta_omega, spec.load.gamma_load)
+        return entries
+    matrix = spec.couplings * -1j
+    np.fill_diagonal(matrix, _finite_result(diagonal, "steady-state matrix entries overflow double precision"))
     return matrix
 
 
@@ -161,15 +160,30 @@ class _Factorization:
         return zgbtrs(self.lu, self.band, self.band, rhs, self.piv)[0]
 
 
+def _finite_result(compute, message):
+    """The one rule for a result that may leave double precision: compute()
+    with numpy's floating-point warnings off and a float ** overflow read as
+    inf, returned if every entry is finite, else SingularNetwork(message)
+    with {!r} in the message standing for the value."""
+    with np.errstate(all="ignore"):
+        try:
+            value = compute()
+        except OverflowError:  # float ** raises where float * returns inf
+            value = math.inf
+    # math reads a float or complex scalar about ten times faster than np.isfinite
+    scalar = isinstance(value, (float, complex))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag) if scalar else np.isfinite(value).all()):
+        raise SingularNetwork(message.format(value))
+    return value
+
+
 def _residual_bound(rhs) -> float:
     """Bound RESIDUAL_RTOL * |rhs| of the residual contract that every
     solve route meets, for the right-hand side rhs. Raises SingularNetwork
     when the bound overflows, where no residual could fail it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = RESIDUAL_RTOL * np.linalg.norm(rhs)
-    if not bound < math.inf:
-        raise SingularNetwork(f"residual bound {RESIDUAL_RTOL:.0e} * |rhs| overflows")
-    return bound
+    return _finite_result(
+        lambda: RESIDUAL_RTOL * np.linalg.norm(rhs), f"residual bound {RESIDUAL_RTOL:.0e} * |rhs| overflows"
+    )
 
 
 def _require_residual(residual, bound, route="residual") -> None:
@@ -224,11 +238,11 @@ def spectral_density(spec: NetworkSpec, omega: float) -> float:
     omega = _scalar("omega", _finite("omega", omega))
     a = omega * np.eye(spec.n_nodes) - _undriven_matrix(spec)
     try:
-        value = -np.imag(np.trace(np.linalg.inv(a)))
+        value = _finite_result(
+            lambda: -np.imag(np.trace(np.linalg.inv(a))), f"resolvent diverges at omega = {omega!r}"
+        )
     except np.linalg.LinAlgError as exc:
         raise SingularNetwork(str(exc)) from None
-    if not np.isfinite(value):
-        raise SingularNetwork(f"resolvent diverges at omega = {omega!r}")
     return float(value)
 
 

@@ -14,7 +14,6 @@ Delivered power is maximal for the conjugate match h_L = conj(h_th).
 """
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -24,7 +23,8 @@ from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch
 from .network import LoadSpec, NetworkSpec, _grid, _load_values
 from .power import _powers
 from .steady import (
-    _Factorization, _load_term, _require_residual, _residual_bound, drive_vector, effective_matrix,
+    _Factorization, _finite_result, _load_term, _require_residual, _residual_bound, drive_vector,
+    effective_matrix,
 )
 
 __all__ = [
@@ -85,8 +85,9 @@ def _resolvent_pair(spec: NetworkSpec):
 
     Returns read-only (x, y). Raises SingularNetwork when a pivot is
     exactly zero or the 1-norm condition estimate of H (LAPACK zgecon, or
-    zgbcon when H is banded) exceeds COND_LIMIT, and DarkNode when the
-    load-node resolvent element vanishes. Only a success is kept, in
+    zgbcon when H is banded) exceeds COND_LIMIT, DarkNode when the
+    load-node resolvent element vanishes, and SingularNetwork when h_th or
+    omega_th overflows double precision. Only a success is kept, in
     spec._resolvent, and returned again for that object; H does not depend
     on the load, but a with_load copy is a new object and is factored
     afresh. Only thevenin_equivalent, matched_load and load_sweep read it;
@@ -105,6 +106,7 @@ def _resolvent_pair(spec: NetworkSpec):
 
     if abs(x[load]) <= DARK_RTOL * np.abs(x).max():
         raise DarkNode(f"load node {load} is decoupled at drive frequency {spec.drive.omega_d!r}")
+    _finite_result(lambda: (1.0 / x[load], y[load] / x[load]), "h_th or omega_th overflows double precision")
     object.__setattr__(spec, "_resolvent", (x, y))
     return x, y
 
@@ -127,7 +129,8 @@ def thevenin_by_elimination(spec: NetworkSpec) -> TheveninEquivalent:
     system, taking the load node last; the surviving scalar row is read off
     as i*omega_th = h_th * a_load. Agrees with the resolvent formulas
     whenever every pivot is nonzero; an exactly zero pivot raises
-    PivotBreakdown with the offending node index.
+    PivotBreakdown with the offending node index, and h_th or omega_th
+    overflowing double precision raises SingularNetwork.
     """
     n = spec.n_nodes
     load = spec.load.node
@@ -135,19 +138,18 @@ def thevenin_by_elimination(spec: NetworkSpec) -> TheveninEquivalent:
     matrix = effective_matrix(spec, loaded=False)[np.ix_(order, order)]
     rhs = (1j * drive_vector(spec))[order]
 
-    for k in range(n - 1):
-        pivot = matrix[k, k]
-        if pivot == 0:
-            raise PivotBreakdown(order[k])
-        factors = matrix[k + 1 :, k] / pivot
-        matrix[k + 1 :, k:] -= np.outer(factors, matrix[k, k:])
-        rhs[k + 1 :] -= factors * rhs[k]
+    def eliminate():
+        for k in range(n - 1):
+            pivot = matrix[k, k]
+            if pivot == 0:
+                raise PivotBreakdown(order[k])
+            factors = matrix[k + 1 :, k] / pivot
+            matrix[k + 1 :, k:] -= np.outer(factors, matrix[k, k:])
+            rhs[k + 1 :] -= factors * rhs[k]
+        return complex(matrix[-1, -1]), complex(rhs[-1] / 1j)
 
-    return TheveninEquivalent(
-        h_th=complex(matrix[-1, -1]),
-        omega_th=complex(rhs[-1] / 1j),
-        load_node=load,
-    )
+    h_th, omega_th = _finite_result(eliminate, "elimination h_th or omega_th overflows double precision")
+    return TheveninEquivalent(h_th=h_th, omega_th=omega_th, load_node=load)
 
 
 def load_amplitude_from_thevenin(th: TheveninEquivalent, load: LoadSpec) -> complex:
@@ -163,12 +165,9 @@ def load_power_thevenin(th: TheveninEquivalent, load: LoadSpec, omega_d: float) 
     omega_d * gamma_load * |a_load|^2 with a_load from the reduced equation.
     Raises SingularNetwork when that power overflows double precision."""
     amp_load = load_amplitude_from_thevenin(th, load)
-    try:
-        p_l = omega_d * load.gamma_load * abs(amp_load) ** 2
-    except OverflowError:  # float ** raises where float * returns inf
-        p_l = math.inf
-    if not math.isfinite(p_l):
-        raise SingularNetwork(f"reduced load power overflows: p_l = {p_l!r}")
+    p_l = _finite_result(
+        lambda: omega_d * load.gamma_load * abs(amp_load) ** 2, "reduced load power overflows: p_l = {!r}"
+    )
     return float(p_l)
 
 
@@ -186,17 +185,10 @@ def matched_load(spec: NetworkSpec) -> MatchedLoad:
     floor = 1e-14 * abs(th.h_th)
     if gamma_th <= 0.0 or gamma_th <= floor:
         raise UnphysicalMatch(gamma_th, floor)
-    try:
-        p_max = spec.drive.omega_d * abs(th.omega_th) ** 2 / gamma_th
-    except OverflowError:  # float ** raises where float * returns inf
-        p_max = math.inf
-    if not math.isfinite(p_max):
-        raise SingularNetwork(f"matched power overflows: p_max = {p_max!r}")
-    return MatchedLoad(
-        delta_omega=-th.delta_omega_th,
-        gamma_load=gamma_th,
-        p_max=float(p_max),
+    p_max = _finite_result(
+        lambda: spec.drive.omega_d * abs(th.omega_th) ** 2 / gamma_th, "matched power overflows: p_max = {!r}"
     )
+    return MatchedLoad(delta_omega=-th.delta_omega_th, gamma_load=gamma_th, p_max=float(p_max))
 
 
 def load_sweep(spec, gamma_values) -> np.ndarray:
@@ -283,7 +275,7 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     bound = _residual_bound(rhs)
 
     h_l = _load_term(delta_values[:, None], gamma_values[None, :]).ravel()
-    amp_load = np.empty(h_l.size, dtype=complex)
+    amp_load = np.empty((delta_values.size, gamma_values.size), dtype=complex)
     chunk = max(1, GRID_CHUNK_BYTES // base.nbytes)
     starts = range(0, h_l.size, chunk)
     workers = min(_usable_cpus(), len(starts))
@@ -313,7 +305,7 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
                 raise
             finally:
                 stacks.append(stack)
-        amp_load[start : start + chunk] = sols[:, load, 0]
+        amp_load.flat[start : start + chunk] = sols[:, load, 0]
 
     if workers < 2:
         list(map(solve_chunk, starts))
@@ -323,13 +315,9 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(solve_chunk, starts))
 
-    with np.errstate(all="ignore"):
-        power = spec.drive.omega_d * gamma_values[None, :] * np.abs(
-            amp_load.reshape(delta_values.size, gamma_values.size)
-        ) ** 2
-    if not np.isfinite(power).all():
-        raise SingularNetwork("grid load power overflows")
-    return power
+    return _finite_result(
+        lambda: spec.drive.omega_d * gamma_values * np.abs(amp_load) ** 2, "grid load power overflows"
+    )
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,12 @@ def radiated_overflow():
     return network([1000.0, 1000.0], [1.0, 1.0], {(0, 1): 1e-3}, dict(rabi=1e154), dict(gamma_load=1.0))
 
 
+def thevenin_overflow():
+    """Two nodes with losses of 1e-9 driven so hard that the Thevenin drive
+    omega_th = y_L / x_L overflows double precision while h_th stays finite."""
+    return network([1000.0, 1000.0], [1e-9, 1e-9], {(0, 1): 1.0}, dict(rabi=1e300), dict(gamma_load=1e-9))
+
+
 def two_node_resonant(j=2.0, gamma_1=1.3, rabi=0.9, omega_0=1000.0):
     """Two nodes, everything on resonance, lossless load node. The case with
     hand-derivable equivalents: h_th = -2 j^2 / gamma_1, matched load

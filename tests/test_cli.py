@@ -12,7 +12,7 @@ import qnet.cli
 import qnet.errors
 from qnet.cli import SweepRequest, main, run_sweep
 
-from conftest import bundled_config, child, network, radiated_overflow, strict_json
+from conftest import bundled_config, child, network, radiated_overflow, strict_json, thevenin_overflow
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -197,6 +197,8 @@ class TestSolve:
         assert (code, out) == (3, "")
         assert err.startswith("qnet: ") and err.count("\n") == 1
         assert "overflow" in err or "residual" in err
+        if command == "match":
+            assert err == "qnet: matched power overflows: p_max = inf\n"
 
     @pytest.mark.parametrize(
         "omegas, omega_d, delta_omega",
@@ -246,6 +248,22 @@ class TestThevenin:
         # hand values for the resonant two-node case
         assert payload["gamma_th"] == pytest.approx(4 * 2.0**2 / 1.3, rel=1e-10)
         assert payload["delta_omega_th"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("thevenin",),
+            ("match",),
+            ("match", "--grid-check"),
+            ("sweep", "--var", "gamma_load", "--min", "1e-9", "--max", "1e-8", "--points", "3"),
+        ],
+        ids=["thevenin", "match", "grid-check", "sweep"],
+    )
+    def test_overflowing_equivalent_exits_3(self, capsys, tmp_path, argv):
+        # omega_th overflows: the equivalent is refused before any command reads it
+        path = write_config(tmp_path, thevenin_overflow())
+        code, out, err = run_quietly(capsys, argv[0], "--config", path, *argv[1:])
+        assert (code, out, err) == (3, "", "qnet: h_th or omega_th overflows double precision\n")
 
 
 class TestMatch:
@@ -539,6 +557,17 @@ class TestOracle:
         code, _, _ = run(capsys, "oracle", "--config", path, "--n-max", "100")
         assert code == 5
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("rabi_re", 1e150), ("rabi_re", 1e160), ("rabi_re", 1e200), ("rabi_re", 1e300),
+         ("omega_d", 1e200), ("omega_d", 1e300)],
+    )
+    def test_overflowing_kernel_norms_exit_3(self, capsys, tmp_path, key, value):
+        # every generator entry is finite, but the sum of squares in a norm is not
+        path = bundled_config(tmp_path, lambda data: data["drive"].update({key: value}))
+        code, out, err = run_quietly(capsys, "oracle", "--config", path, "--n-max", "2")
+        assert (code, out, err) == (3, "", "qnet: kernel residual or its scale overflows double precision\n")
+
 
     def test_a_mode_that_never_decays_exits_3(self, capsys, tmp_path):
         path = two_node_config(
@@ -662,6 +691,19 @@ class TestModuleEntryPoint:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("qnet: input error:")
         assert "Traceback" not in done.stderr
+
+    def test_overflow_exits_3_with_warnings_as_errors(self, monkeypatch, tmp_path):
+        # a numpy warning would end the process with a traceback and exit 1
+        monkeypatch.setenv("PYTHONWARNINGS", "error")
+        thevenin = write_config(tmp_path, thevenin_overflow())
+        oracle = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=1e150))
+        for argv, message in (
+            (("thevenin", "--config", thevenin), "h_th or omega_th"),
+            (("oracle", "--config", oracle, "--n-max", "2"), "kernel residual or its scale"),
+        ):
+            done = self.run_module(*argv)
+            expected = f"qnet: {message} overflows double precision\n"
+            assert (done.returncode, done.stdout, done.stderr) == (3, "", expected)
 
 
 class TestConsistencyAcrossCommands:

@@ -1,13 +1,14 @@
 """Density-matrix ground truth: generator structure, steady states,
 moments, and cross-validation of the amplitude route."""
 import json
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import qnet
-from qnet.errors import CapacityError, NonUniqueSteadyState, QnetError, ValidationError
+from qnet.errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
 
 from conftest import network
 
@@ -91,6 +92,14 @@ class TestGeneratorStructure:
     def test_node_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             qnet.build_liouvillian(_two_node(), qnet.FockConfig(n_max=2, nodes=3))
+
+    def test_overflowing_load_rate_is_singular_without_warnings(self):
+        # the load node's loss rate gamma_1 + gamma_load overflows
+        spec = network([1000.0, 1000.0], [1.0, 1e308], {(0, 1): 2.5}, {}, dict(gamma_load=1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularNetwork, match="^generator entries overflow double precision$"):
+                qnet.build_liouvillian(spec, qnet.FockConfig(n_max=2, nodes=2))
 
     def test_sparse_output(self):
         liou = qnet.build_liouvillian(_one_node(), qnet.FockConfig(n_max=2, nodes=1))
@@ -218,6 +227,15 @@ class TestSteadyStateDensity:
         cfg = qnet.FockConfig(n_max=2, nodes=1)
         with pytest.raises(NonUniqueSteadyState):
             qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
+
+    def test_overflowing_kernel_norms_are_singular_without_warnings(self):
+        # every generator entry is finite, but |L|_F^2 is not
+        cfg = qnet.FockConfig(n_max=2, nodes=2)
+        liou = qnet.build_liouvillian(_two_node(rabi=1e150), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularNetwork, match="^kernel residual or its scale overflows double"):
+                qnet.steady_state_density(liou, cfg)
 
     def test_generator_of_another_dimension_rejected(self):
         cfg = qnet.FockConfig(n_max=1, nodes=1)

@@ -199,6 +199,8 @@ _replacements = st.one_of(
 @example(("drive", "rabi_re"), 1e308)
 @example(("drive", "omega_d"), 1e308)
 @example(("load", "gamma_load"), 1e308)
+@example(("drive", "rabi_re"), 1e150)
+@example(("drive", "omega_d"), 1e200)
 def test_mutated_config_gets_a_documented_answer(path, value):
     def change(data):
         parent = data
@@ -211,10 +213,10 @@ def test_mutated_config_gets_a_documented_answer(path, value):
 
     with tempfile.TemporaryDirectory() as tmp:
         config = bundled_config(Path(tmp), change)
-        for command in ("solve", "thevenin", "match"):
+        for argv in (["solve"], ["thevenin"], ["match"], ["oracle", "--n-max", "2"]):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, "--config", config])
+                code = main([*argv, "--config", config])
             assert code in (0, 2, 3, 4, 5)
             if code == 0:
                 strict_json(out.getvalue())

@@ -12,7 +12,9 @@ import pytest
 import qnet
 from qnet.errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
 
-from conftest import load_settings, make_random_network, network, radiated_overflow, two_node_resonant
+from conftest import (
+    load_settings, make_random_network, network, radiated_overflow, thevenin_overflow, two_node_resonant,
+)
 
 
 def _two_node(omega_d, gamma=(1.0, 0.5), j=2.5, omega_0=1000.0, rabi=0.1 + 0.05j):
@@ -52,6 +54,16 @@ class TestResolventRoute:
         spec = _two_node(omega_d=1000.0, gamma=(0.0, 0.7))
         with pytest.raises(DarkNode):
             qnet.thevenin_equivalent(spec).h_th
+
+    def test_overflowing_equivalent_is_singular_without_warnings(self):
+        spec = thevenin_overflow()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularNetwork, match="^h_th or omega_th overflows double precision$"):
+                qnet.thevenin_equivalent(spec)
+            with pytest.raises(SingularNetwork, match="^elimination h_th or omega_th overflows double"):
+                qnet.thevenin_by_elimination(spec)
+        assert spec._resolvent is None  # a refused pair is not kept
 
     def test_singular_network(self):
         spec = _two_node(omega_d=1002.5, gamma=(0.0, 0.0))
@@ -322,7 +334,7 @@ class TestGridOracle:
         spec = make_random_network(2, 17)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularNetwork, match="overflows"):
+            with pytest.raises(SingularNetwork, match="^grid load power overflows$"):
                 qnet.load_power_map(spec, [0.0], [1e308])
 
     def test_grid_check_never_calls_the_fast_solver(self, monkeypatch):
