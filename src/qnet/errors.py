@@ -53,7 +53,8 @@ class CapacityError(QnetError):
 
 
 class NonUniqueSteadyState(QnetError):
-    """The dissipative generator has a degenerate kernel."""
+    """The network has no unique steady state: a mode never decays, or the
+    dissipative generator has a degenerate kernel."""
 
 
 class UnsupportedTopology(QnetError):

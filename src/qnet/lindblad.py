@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CapacityError, NonUniqueSteadyState, QnetError, ValidationError
 from .network import NetworkSpec, _integer
 from .power import _EPS, _rel, general_power_from_correlators, power_report
-from .steady import SteadyState, _finite_result, solve_amplitudes
+from .steady import SteadyState, _finite_result, _require_decay, solve_amplitudes
 
 __all__ = [
     "FockConfig",
@@ -235,11 +235,7 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
     # <a> obeys d<a>/dt = -i k <a> + drive, so the modes all decay only
     # when every eigenvalue of k has a negative imaginary part
     alpha = float(np.linalg.eigvals(_mode_matrix(spec)[0]).imag.max())
-    if alpha >= 0.0:
-        raise NonUniqueSteadyState(
-            f"network has a non-decaying mode (max Im eigenvalue of k {alpha:.3e}); "
-            "the density-matrix oracle requires a decaying system"
-        )
+    _require_decay(alpha, "max Im eigenvalue of k", "density-matrix oracle")
     state = steady_state_density(liouvillian, cfg)
     linear = solve_amplitudes(spec)
 

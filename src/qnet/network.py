@@ -42,12 +42,15 @@ def _integer(name, value, minimum=None) -> int:
 
 
 def _finite(name, values, kinds="iuf") -> np.ndarray:
-    """values, a scalar or a grid, as a float or complex array (0-d for a
-    scalar) of finite numbers, or ValidationError naming the field.
+    """The one rule for an input number: values, a scalar or an array of
+    any rank, as a fresh float or complex array (0-d for a scalar) of
+    finite numbers, or ValidationError naming the field.
 
     The numpy dtype kind must be in `kinds`: real ints and floats by
     default, "iufc" where complex numbers are allowed. That refuses bools,
-    strings, None, ragged grids and Python ints too large for 64 bits.
+    strings, None, ragged arrays and Python ints too large for 64 bits.
+    For an array, the message gives the index of the first entry that is
+    not finite.
     """
     try:
         raw = np.asarray(values)
@@ -59,7 +62,9 @@ def _finite(name, values, kinds="iuf") -> np.ndarray:
     arr = raw.astype(complex if raw.dtype.kind == "c" else float)
     finite = np.isfinite(arr)
     if np.count_nonzero(finite) < arr.size:  # cheaper than .all() on one value
-        raise ValidationError(f"{name} must be finite, got {arr[~finite][0].item()!r}")
+        first = np.argwhere(~finite)[0]
+        at = f" at [{', '.join(map(str, first))}]" if arr.ndim else ""
+        raise ValidationError(f"{name} must be finite, got {arr[tuple(first)].item()!r}{at}")
     return arr
 
 
@@ -134,7 +139,9 @@ class NetworkSpec:
     A spec is validated when it is built: construction, with_load,
     with_drive and dataclasses.replace raise ValidationError, so every
     spec that exists is valid. DriveSpec and LoadSpec check their own
-    fields; the spec adds the checks that need its arrays (validate).
+    fields. Each array passes the rule of every input number (_finite)
+    and is stored as a read-only float copy, never the caller's array;
+    validate then checks how the fields relate.
 
     Specs must not be mutated. A spec keeps its load-free resolvent pair
     in _resolvent (thevenin._resolvent_pair), so one changed in place, say
@@ -161,13 +168,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         for name in ("node_frequencies", "intrinsic_decays", "couplings"):
-            try:
-                raw = np.asarray(getattr(self, name))
-            except ValueError:  # nested sequences of unequal lengths
-                raise ValidationError(f"{name} must be a rectangular array") from None
-            if raw.dtype.kind not in "iuf":  # int or float; complex is refused, not cut
-                raise ValidationError(f"{name} must be real numbers, got dtype {raw.dtype}")
-            arr = np.array(raw, dtype=float)
+            arr = _finite(name, getattr(self, name))  # a copy: the caller's array stays writable
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         validate(self)
@@ -196,12 +197,13 @@ class NetworkSpec:
 
 
 def validate(spec: NetworkSpec) -> None:
-    """Check the invariants of a NetworkSpec that need its arrays.
+    """Check the invariants of a NetworkSpec that relate its fields.
 
-    Raises ValidationError with every problem joined by "; ": array shapes,
-    finiteness, symmetric couplings with zero diagonal, nonnegative decays,
-    and drive and load nodes inside [0, N). NetworkSpec runs this when it
-    is built, so it passes on every spec that exists.
+    Raises ValidationError for array shapes that disagree or an empty
+    network, else with every other problem joined by "; ": symmetric
+    couplings with zero diagonal, nonnegative decays, and drive and load
+    nodes inside [0, N). NetworkSpec runs this when it is built, after
+    each array has passed _finite, so it passes on every spec that exists.
     """
     omega = spec.node_frequencies
     gamma = spec.intrinsic_decays
@@ -217,15 +219,6 @@ def validate(spec: NetworkSpec) -> None:
         raise ValidationError(f"couplings must be {n}x{n}, got {J.shape}")
 
     problems = []
-    for name, arr in (("node_frequencies", omega), ("intrinsic_decays", gamma), ("couplings", J)):
-        if not np.isfinite(arr).all():
-            first = np.argwhere(~np.isfinite(arr))[0]
-            at = ",".join(map(str, first))
-            problems.append(f"{name} must be finite: {name}[{at}]={float(arr[tuple(first)])!r}")
-    if problems:
-        # the checks below compare and rank values, which NaN and Infinity defeat
-        raise ValidationError("; ".join(problems))
-
     if not np.array_equal(J, J.T):
         i, j = np.argwhere(J != J.T)[0]
         problems.append(

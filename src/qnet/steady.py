@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, SingularNetwork, ValidationError
+from .errors import ConvergenceFailure, NonUniqueSteadyState, SingularNetwork, ValidationError
 from .network import NetworkSpec, _finite, _grid, _scalar
 
 __all__ = [
@@ -193,6 +193,16 @@ def _require_residual(residual, bound, route="residual") -> None:
         raise SingularNetwork(f"{route} {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * |rhs|")
 
 
+def _require_decay(growth, measure, route) -> None:
+    """Raises NonUniqueSteadyState, naming the measure and the route,
+    unless `growth`, the fastest growth rate of a mode, is negative; a test
+    written that way round so that NaN fails."""
+    if not growth < 0.0:
+        raise NonUniqueSteadyState(
+            f"network has a non-decaying mode ({measure} {growth:.3e}); the {route} requires a decaying system"
+        )
+
+
 def drive_vector(spec: NetworkSpec) -> np.ndarray:
     """One-hot complex drive vector."""
     omega = np.zeros(spec.n_nodes, dtype=complex)
@@ -333,8 +343,9 @@ def time_domain_steady_state(spec) -> SteadyState:
 
     Raises ConvergenceFailure, carrying the residual at the last step
     reached, when the residual target is not met by t_final,
-    SingularNetwork when that target overflows, and ValidationError for a
-    network with a non-decaying mode or a budget of more than 2e8 steps.
+    SingularNetwork when that target overflows, NonUniqueSteadyState for a
+    network with a non-decaying mode and ValidationError for a budget of
+    more than 2e8 steps.
     """
     matrix = effective_matrix(spec)
     omega = drive_vector(spec)
@@ -343,11 +354,7 @@ def time_domain_steady_state(spec) -> SteadyState:
 
     eigs = np.linalg.eigvals(matrix)
     alpha = float(eigs.real.max())
-    if alpha >= 0.0:
-        raise ValidationError(
-            f"network has a non-decaying mode (max Re eigenvalue {alpha:.3e}); "
-            "the relaxation oracle requires a decaying system"
-        )
+    _require_decay(alpha, "max Re eigenvalue", "relaxation oracle")
     # alpha < 0, so the largest |eigenvalue| is positive
     dt = 0.1 / float(np.abs(eigs).max())
     t_final = 60.0 / abs(alpha)

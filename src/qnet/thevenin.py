@@ -183,7 +183,7 @@ def matched_load(spec: NetworkSpec) -> MatchedLoad:
     th = thevenin_equivalent(spec)
     gamma_th = th.gamma_th
     floor = 1e-14 * abs(th.h_th)
-    if gamma_th <= 0.0 or gamma_th <= floor:
+    if gamma_th <= floor:
         raise UnphysicalMatch(gamma_th, floor)
     p_max = _finite_result(
         lambda: spec.drive.omega_d * abs(th.omega_th) ** 2 / gamma_th, "matched power overflows: p_max = {!r}"

@@ -1,4 +1,5 @@
 """Network model: generators, validation, config round-trips."""
+import dataclasses
 import json
 
 import numpy as np
@@ -186,12 +187,12 @@ class TestValidate:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("couplings", np.array([[0, 2 + 1j], [2 - 1j, 0]]), "couplings must be real numbers"),
-            ("couplings", np.array([[0, 2 + 0j], [2 + 0j, 0]]), "couplings must be real numbers"),
-            ("node_frequencies", ["a", "b"], "node_frequencies must be real numbers"),
-            ("intrinsic_decays", [1.0, None], "intrinsic_decays must be real numbers"),
-            ("couplings", [[0.0, 2.0], [2.0]], "couplings must be a rectangular array"),
-            ("node_frequencies", [True, True], "node_frequencies must be real numbers, got dtype bool"),
+            ("couplings", np.array([[0, 2 + 1j], [2 - 1j, 0]]), r"couplings must be real, got array\(\[\[0\.\+0"),
+            ("couplings", np.array([[0, 2 + 0j], [2 + 0j, 0]]), r"couplings must be real, got array\(\[\[0\.\+0"),
+            ("node_frequencies", ["a", "b"], r"node_frequencies must be real, got \['a', 'b'\]"),
+            ("intrinsic_decays", [1.0, None], r"intrinsic_decays must be real, got \[1\.0, None\]"),
+            ("couplings", [[0.0, 2.0], [2.0]], r"couplings must be real, got \[\[0\.0, 2\.0\], \[2\.0\]\]"),
+            ("node_frequencies", [True, True], r"node_frequencies must be real, got \[True, True\]"),
             ("couplings", np.zeros((3, 3)), r"couplings must be 2x2, got \(3, 3\)"),
         ],
         ids=["complex", "complex-real-valued", "strings", "none", "ragged", "bool", "not-n-by-n"],
@@ -200,6 +201,26 @@ class TestValidate:
         # a complex array is refused, not stored as its real part
         with pytest.raises(ValidationError, match=message):
             self._spec(**{field: value})
+
+    def test_non_finite_entry_named_by_its_index(self):
+        with pytest.raises(ValidationError, match=r"^couplings must be finite, got nan at \[0, 1\]$"):
+            self._spec(couplings=np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        # only the first array that holds one is reported
+        with pytest.raises(ValidationError, match=r"^node_frequencies must be finite, got inf at \[0\]$"):
+            self._spec(node_frequencies=[np.inf, 1000.0], intrinsic_decays=[1.0, np.nan])
+
+    def test_caller_arrays_neither_frozen_nor_aliased(self):
+        given = dict(
+            node_frequencies=np.array([1000.0, 1000.0]),
+            intrinsic_decays=np.array([1.0, 1.0]),
+            couplings=np.array([[0.0, 2.0], [2.0, 0.0]]),
+        )
+        before = {name: arr.copy() for name, arr in given.items()}
+        spec = self._spec(**given)
+        for name, arr in given.items():
+            stored = getattr(spec, name)
+            assert arr.flags.writeable and np.array_equal(arr, before[name])
+            assert not stored.flags.writeable and not np.shares_memory(stored, arr)
 
     def test_no_nodes(self):
         with pytest.raises(ValidationError, match="^network must contain at least one node$"):
@@ -249,6 +270,33 @@ class TestScalarFields:
         assert (type(load.node), type(load.delta_omega), type(load.gamma_load)) == (int, float, float)
         assert (drive.node, drive.omega_d, drive.rabi) == (0, 1000.5, 0.5j)
         assert (load.node, load.delta_omega, load.gamma_load) == (1, -2.0, 1.5)
+
+
+class TestOneWordingForANonFiniteNumber:
+    """Spec arrays, load grids and spectral grids pass one rule, which
+    names the index of the first non-finite entry of an array."""
+
+    SPEC = qnet.build_chain(2, 1000.0, 2.0, 1.0, _drive(2), _load(2))
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("node_frequencies", lambda spec, bad: dataclasses.replace(spec, node_frequencies=bad)),
+            ("intrinsic_decays", lambda spec, bad: dataclasses.replace(spec, intrinsic_decays=bad)),
+            ("load delta_omega", lambda spec, bad: qnet.load_power_map(spec, bad, [1.0])),
+            ("load gamma_load", lambda spec, bad: qnet.load_power_map(spec, [0.0], bad)),
+            ("load gamma_load", lambda spec, bad: qnet.load_sweep(spec, bad)),
+            ("grid", lambda spec, bad: qnet.spectral_density_grid(spec, bad)),
+        ],
+        ids=["spec-frequencies", "spec-decays", "map-delta", "map-gamma", "sweep", "spectral-grid"],
+    )
+    def test_array_names_the_index(self, name, call):
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite, got nan at \[1\]$"):
+            call(self.SPEC, np.array([1.0, np.nan]))
+
+    def test_scalar_field_has_no_index(self):
+        with pytest.raises(ValidationError, match=r"^drive omega_d must be finite, got nan$"):
+            qnet.DriveSpec(node=0, omega_d=np.nan, rabi=0.1)
 
 
 class TestConfigIO:

@@ -9,7 +9,7 @@ import pytest
 
 import qnet
 from qnet import steady
-from qnet.errors import ConvergenceFailure, SingularNetwork, ValidationError
+from qnet.errors import ConvergenceFailure, NonUniqueSteadyState, SingularNetwork, ValidationError
 
 from conftest import make_random_network, make_sparse_network, network
 
@@ -436,7 +436,7 @@ class TestTimeDomainOracle:
         "spec", [_two_node(omega_d=1001.0, gamma=(0.0, 0.0)), LOSSLESS_NODE], ids=["two-node", "zero-matrix"]
     )
     def test_undamped_network_rejected(self, spec):
-        with pytest.raises(ValidationError, match="non-decaying mode"):
+        with pytest.raises(NonUniqueSteadyState, match="non-decaying mode"):
             qnet.time_domain_steady_state(spec)
 
     def test_overflowing_drive_is_singular(self):
