@@ -12,7 +12,12 @@ drive vector. The steady state solves (H_eff + H_load) a = i W.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +111,33 @@ def _band_storage(matrix: np.ndarray, k: int) -> np.ndarray:
     return band
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension scipy.linalg._flapack, loaded at the first
+    factorization (commands that factor nothing load no scipy) from its
+    file, without the package init of scipy and scipy.linalg (about 0.3 s
+    of a cold `qnet solve`), and kept in sys.modules under its own name for
+    a later import of scipy.linalg to reuse; the module already there if
+    scipy.linalg came first. scipy.linalg.lapack when the file cannot be
+    found or loaded, or lacks a routine that _Factorization calls."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        try:
+            folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+            loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+            spec = importlib.machinery.FileFinder(folder, loader).find_spec(name)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except Exception:  # any failure to find or load the file: the package route below
+            module = None
+    if not all(hasattr(module, routine) for routine in ("zgetrf", "zgecon", "zgetrs", "zgbtrf", "zgbcon", "zgbtrs")):
+        from scipy.linalg import lapack
+
+        return lapack
+    return sys.modules.setdefault(name, module)
+
+
 class _Factorization:
     """LU factors of one square complex matrix, checked for conditioning.
 
@@ -126,26 +158,24 @@ class _Factorization:
     """
 
     def __init__(self, matrix: np.ndarray):
-        # deferred so that commands that factor no matrix start without scipy
-        from scipy.linalg.lapack import zgbcon, zgbtrf, zgecon, zgetrf
-
+        lapack = _lapack()
         n = matrix.shape[0]
         k = _bandwidth(matrix) if n > 8 else n - 1
         if 8 * k < n:
             self.band = k
             band = _band_storage(matrix, k)
             anorm = np.abs(band).sum(axis=0).max()
-            self.lu, self.piv, info = zgbtrf(band, k, k, overwrite_ab=1)
+            self.lu, self.piv, info = lapack.zgbtrf(band, k, k, overwrite_ab=1)
         else:
             self.band = None
             anorm = np.linalg.norm(matrix, 1)
-            self.lu, self.piv, info = zgetrf(matrix)
+            self.lu, self.piv, info = lapack.zgetrf(matrix)
         if info > 0:
             raise SingularNetwork(f"matrix is exactly singular (zero pivot in column {info})")
         if self.band is None:
-            self.rcond, _ = zgecon(self.lu, anorm, norm="1")
+            self.rcond, _ = lapack.zgecon(self.lu, anorm, norm="1")
         else:
-            self.rcond, _ = zgbcon(k, k, self.lu, self.piv, anorm, norm="1")
+            self.rcond, _ = lapack.zgbcon(k, k, self.lu, self.piv, anorm, norm="1")
         # written this way round so that a nan estimate fails too
         if not self.rcond >= 1.0 / COND_LIMIT:
             cond = math.inf if self.rcond == 0 else 1.0 / self.rcond
@@ -153,11 +183,10 @@ class _Factorization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution of matrix @ x = rhs for a vector or a column stack."""
-        from scipy.linalg.lapack import zgbtrs, zgetrs
-
+        lapack = _lapack()
         if self.band is None:
-            return zgetrs(self.lu, self.piv, rhs)[0]
-        return zgbtrs(self.lu, self.band, self.band, rhs, self.piv)[0]
+            return lapack.zgetrs(self.lu, self.piv, rhs)[0]
+        return lapack.zgbtrs(self.lu, self.band, self.band, rhs, self.piv)[0]
 
 
 def _finite_result(compute, message):

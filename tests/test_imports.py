@@ -1,16 +1,18 @@
 """Import boundaries: each command loads only the libraries it runs.
 
 scipy costs more start-up time than numpy and all of qnet together, so only
-the routes that factor a matrix (scipy.linalg) or build a Liouvillian
-(scipy.sparse) import it. The one rule that keeps it so: no module in
-src/qnet imports scipy at module level, only inside the functions that call
-it. The grid map is the one place that starts threads: it alone imports a
-thread module, concurrent.futures' ThreadPoolExecutor, inside
-load_power_map. scipy.linalg already loads the concurrent.futures package,
-so the pool costs a grid check under a millisecond more, and `import
-qnet.cli` and the commands that make no grid map load no pool module. Static
-checks read both rules off the source; every other check runs in a fresh
-interpreter, because this test process imported scipy long ago.
+the routes that factor a matrix (scipy's LAPACK extension,
+scipy.linalg._flapack, loaded by file without the scipy.linalg package) or
+build a Liouvillian (scipy.sparse) import it. The one rule that keeps it so:
+no module in src/qnet imports scipy at module level, only inside the
+functions that call it. The grid map is the one place that starts threads:
+it alone imports a thread module, concurrent.futures' ThreadPoolExecutor,
+inside load_power_map. That import costs a cold grid check about 11 ms
+(median of 9 cold `import concurrent.futures.thread` after `import
+qnet.cli`, Python 3.11.7 on a 2-CPU machine), and `import qnet.cli` and the
+commands that make no grid map load no pool module. Static checks read both
+rules off the source; every other check runs in a fresh interpreter,
+because this test process imported scipy long ago.
 """
 import ast
 import json
@@ -129,12 +131,99 @@ def test_commands_without_a_factorization_load_no_scipy(tmp_path, argv, expected
     assert scipy_modules(modules) == []
 
 
-def test_solve_loads_dense_lapack_only(tmp_path):
-    code, modules = cli_run("solve", "--config", TWO_NODE, "--out", str(tmp_path / "solve.json"))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve",),
+        ("thevenin",),
+        ("match",),
+        ("sweep", "--var", "gamma_load", "--min", "0.1", "--max", "10", "--points", "5"),
+    ],
+    ids=["solve", "thevenin", "match", "sweep-gamma-load"],
+)
+def test_factoring_commands_load_only_the_lapack_extension(tmp_path, argv):
+    code, modules = cli_run(*argv, "--config", TWO_NODE, "--out", str(tmp_path / "out"))
     assert code == 0
-    assert "scipy.linalg" in modules
-    assert "scipy.sparse" not in modules
+    assert scipy_modules(modules) == ["scipy.linalg._flapack"]
     assert executor_modules(modules) == []
+
+
+ROUTINES = ("zgetrf", "zgecon", "zgetrs", "zgbtrf", "zgbcon", "zgbtrs")
+
+# solve and match on every bundled config, each stdout captured with its exit code
+SOLVE_AND_MATCH = (
+    "import contextlib, io, qnet.cli\n"
+    "code = []\n"
+    "for command in ('solve', 'match'):\n"
+    "    for config in ('two_node', 'chain_50', 'random_50'):\n"
+    f"        argv = [command, '--config', {str(ROOT / 'configs')!r} + '/' + config + '.json']\n"
+    "        with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "            exit_code = qnet.cli.main(argv)\n"
+    "        code.append([exit_code, out.getvalue()])\n"
+    "import scipy.linalg.lapack\n"
+    "from qnet.steady import _lapack\n"
+    "code = [code, _lapack() is scipy.linalg.lapack]\n"
+)
+
+# each patch makes the by-file load fail inside the loader alone
+MISSES = {
+    # importlib.util.find_spec finds no scipy
+    "no-file": (
+        "import importlib.util\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, package=None: None if name == 'scipy' else find_spec(name, package)\n"
+    ),
+    # the module loaded from the file lacks zgbcon
+    "no-routine": (
+        "import importlib.util, types\n"
+        "module_from_spec = importlib.util.module_from_spec\n"
+        "def without_zgbcon(spec):\n"
+        "    stub = types.ModuleType(spec.name)\n"
+        "    stub.__dict__.update(vars(module_from_spec(spec)))\n"
+        "    del stub.zgbcon\n"
+        "    return stub\n"
+        "importlib.util.module_from_spec = without_zgbcon\n"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def direct_route():
+    return fresh_run(SOLVE_AND_MATCH)
+
+
+@pytest.mark.parametrize("miss", MISSES.values(), ids=MISSES.keys())
+def test_the_package_fallback_prints_the_same_bytes(direct_route, miss):
+    (direct, direct_fell_back), _ = direct_route
+    (fallback, fell_back), modules = fresh_run(miss + SOLVE_AND_MATCH)
+    assert [exit_code for exit_code, _ in direct] == [0] * 6
+    assert fallback == direct
+    assert (direct_fell_back, fell_back) == (False, True)
+    assert "scipy.linalg" in modules
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads the memory map of a Linux process")
+def test_one_extension_when_scipy_linalg_comes_after_the_loader():
+    identical, files = fresh_run(
+        "from qnet.steady import _lapack\n"
+        "lapack = _lapack()\n"
+        "import sys, scipy.linalg.lapack, scipy.sparse.linalg\n"
+        "identical = [sys.modules['scipy.linalg._flapack'] is lapack]\n"
+        f"identical += [getattr(scipy.linalg.lapack, r) is getattr(lapack, r) for r in {ROUTINES!r}]\n"
+        "files = sorted({line.split()[-1] for line in open('/proc/self/maps') if '_flapack' in line})\n"
+        "code = [identical, files]\n"
+    )[0]
+    assert identical == [True] * (1 + len(ROUTINES))
+    assert len(files) == 1
+
+
+def test_the_loader_returns_the_extension_that_scipy_linalg_loaded():
+    code, _ = fresh_run(
+        "import sys, scipy.linalg\n"
+        "from qnet.steady import _lapack\n"
+        "code = _lapack() is sys.modules['scipy.linalg._flapack']\n"
+    )
+    assert code is True
 
 
 def test_match_with_a_threaded_grid_check_loads_only_the_thread_pool(tmp_path):
