@@ -19,14 +19,6 @@ class DarkNode(QnetError):
     drive frequency: its diagonal resolvent element vanishes."""
 
 
-class PivotBreakdown(QnetError):
-    """Gaussian elimination hit an exactly zero pivot."""
-
-    def __init__(self, node):
-        self.node = node
-        super().__init__(f"zero elimination pivot at node {node}")
-
-
 class UnphysicalMatch(QnetError):
     """No passive load attains the power optimum: the effective network
     decay toward the load, gamma_th, is not above floor = 1e-14 * |h_th|."""

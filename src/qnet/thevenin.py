@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch
+from .errors import DarkNode, SingularNetwork, UnphysicalMatch
 from .network import LoadSpec, NetworkSpec, _grid, _load_values
 from .power import _powers
 from .steady import (
@@ -123,30 +123,28 @@ def thevenin_equivalent(spec: NetworkSpec) -> TheveninEquivalent:
 
 
 def thevenin_by_elimination(spec: NetworkSpec) -> TheveninEquivalent:
-    """Cross-check route: eliminate all non-load nodes one by one.
+    """Cross-check route: eliminate all non-load nodes in one block.
 
-    Plain Gaussian elimination (no pivoting) on the load-free steady-state
-    system, taking the load node last; the surviving scalar row is read off
-    as i*omega_th = h_th * a_load. Agrees with the resolvent formulas
-    whenever every pivot is nonzero; an exactly zero pivot raises
-    PivotBreakdown with the offending node index, and h_th or omega_th
-    overflowing double precision raises SingularNetwork.
+    The load-free steady-state system H a = i*W is reduced to the load
+    node by a Schur complement, solving the non-load block with numpy's
+    LU (partial pivoting) against both the load column of H and the drive;
+    the surviving scalar row is read off as i*omega_th = h_th * a_load.
+    It never reads the resolvent pair. An exactly singular non-load block
+    raises SingularNetwork, as does h_th or omega_th overflowing double
+    precision.
     """
-    n = spec.n_nodes
     load = spec.load.node
-    order = [k for k in range(n) if k != load] + [load]
-    matrix = effective_matrix(spec, loaded=False)[np.ix_(order, order)]
-    rhs = (1j * drive_vector(spec))[order]
+    matrix = effective_matrix(spec, loaded=False)
+    rhs = 1j * drive_vector(spec)
+    rest = np.arange(spec.n_nodes) != load
 
     def eliminate():
-        for k in range(n - 1):
-            pivot = matrix[k, k]
-            if pivot == 0:
-                raise PivotBreakdown(order[k])
-            factors = matrix[k + 1 :, k] / pivot
-            matrix[k + 1 :, k:] -= np.outer(factors, matrix[k, k:])
-            rhs[k + 1 :] -= factors * rhs[k]
-        return complex(matrix[-1, -1]), complex(rhs[-1] / 1j)
+        try:
+            block = np.linalg.solve(matrix[rest][:, rest], np.column_stack([matrix[rest, load], rhs[rest]]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularNetwork(str(exc)) from None
+        row = matrix[load, rest]
+        return complex(matrix[load, load] - row @ block[:, 0]), complex((rhs[load] - row @ block[:, 1]) / 1j)
 
     h_th, omega_th = _finite_result(eliminate, "elimination h_th or omega_th overflows double precision")
     return TheveninEquivalent(h_th=h_th, omega_th=omega_th, load_node=load)

@@ -158,3 +158,15 @@ def two_node_resonant(j=2.0, gamma_1=1.3, rabi=0.9, omega_0=1000.0):
     hand-derivable equivalents: h_th = -2 j^2 / gamma_1, matched load
     gamma_load = 4 j^2 / gamma_1, maximum power omega_0 |rabi|^2 / gamma_1."""
     return network([omega_0, omega_0], [gamma_1, 0.0], {(0, 1): j}, dict(omega_d=omega_0, rabi=rabi))
+
+
+def lossless_resonant_node(j01=3.0, omega_d=1000.0):
+    """Three nodes with a lossless node 0 driven on its resonance through
+    node 1, loaded at node 2. Node 0's diagonal entry of the load-free
+    matrix is exactly zero, so elimination in node order without pivoting
+    breaks down at once; with j01 = 30 and omega_d 1e-13 off resonance it
+    takes a tiny pivot there and loses 7.9e-4 of h_th."""
+    return network(
+        [1000.0, 1000.3, 999.8], [0.0, 0.9, 0.4], {(0, 1): j01, (0, 2): 0.5, (1, 2): 2.0},
+        dict(node=1, omega_d=omega_d), dict(node=2),
+    )

@@ -21,6 +21,7 @@ def test_module_all_lists_match_package():
         "input_power",
         "radiated_power",
         "load_power",
+        "PivotBreakdown",
     )
     assert [name for name in deleted if hasattr(qnet, name)] == []
 

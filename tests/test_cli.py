@@ -12,7 +12,9 @@ import qnet.cli
 import qnet.errors
 from qnet.cli import SweepRequest, main, run_sweep
 
-from conftest import bundled_config, child, network, radiated_overflow, strict_json, thevenin_overflow
+from conftest import (
+    bundled_config, child, lossless_resonant_node, network, radiated_overflow, strict_json, thevenin_overflow,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -248,6 +250,15 @@ class TestThevenin:
         # hand values for the resonant two-node case
         assert payload["gamma_th"] == pytest.approx(4 * 2.0**2 / 1.3, rel=1e-10)
         assert payload["delta_omega_th"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_lossless_node_on_resonance_is_eliminated(self, capsys, tmp_path):
+        # the non-load block starts with an exactly zero diagonal entry
+        path = write_config(tmp_path, lossless_resonant_node())
+        code, out, err = run(capsys, "thevenin", "--config", path)
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert payload["rel_discrepancy"]["h_th"] <= 1e-10
+        assert payload["rel_discrepancy"]["omega_th"] <= 1e-10
 
     @pytest.mark.parametrize(
         "argv",
@@ -588,7 +599,7 @@ def _error_classes():
 
 
 # constructor arguments of the errors that take more than a message
-ERROR_ARGS = {"PivotBreakdown": (1,), "UnphysicalMatch": (-0.5, 1e-14), "ConvergenceFailure": (2.5e-3,)}
+ERROR_ARGS = {"UnphysicalMatch": (-0.5, 1e-14), "ConvergenceFailure": (2.5e-3,)}
 
 # the stderr prefix and exit code of each error that does not end with a bare "qnet: " and 3
 EXITS = {

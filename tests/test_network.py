@@ -333,9 +333,16 @@ class TestConfigIO:
         with pytest.raises(ValidationError, match="line"):
             qnet.load_config(path)
 
-    def test_missing_field(self):
-        with pytest.raises(ValidationError, match="drive"):
-            qnet.from_config_dict({"nodes": [{"omega": 1.0, "gamma": 0.0}]})
+    @pytest.mark.parametrize("field", ["drive", "load"])
+    def test_missing_field(self, field):
+        data = {
+            "nodes": [{"omega": 1.0, "gamma": 0.0}],
+            "drive": {"node": 0, "omega_d": 1.0, "rabi_re": 0.1, "rabi_im": 0.0},
+            "load": {"node": 0, "delta_omega": 0.0, "gamma_load": 1.0},
+        }
+        del data[field]
+        with pytest.raises(ValidationError, match=f"^missing field '{field}' in config root$"):
+            qnet.from_config_dict(data)
 
     def test_duplicate_edge(self):
         data = {

@@ -25,7 +25,9 @@ import qnet  # noqa: E402
 from qnet import steady  # noqa: E402
 from qnet.cli import main  # noqa: E402
 
-from conftest import bundled_config, child, make_random_network, network, strict_json  # noqa: E402
+from conftest import (  # noqa: E402
+    bundled_config, child, lossless_resonant_node, make_random_network, network, strict_json,
+)
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -82,6 +84,9 @@ _SUBNORMAL_LOAD_AMPLITUDE = network(
 
 @settings(max_examples=100, deadline=None)
 @given(weak_coupling_networks())
+@example(lossless_resonant_node())
+@example(lossless_resonant_node(j01=30.0, omega_d=1000.0 + 1e-13))
+@example(lossless_resonant_node(j01=30.0, omega_d=1000.0 + 1e-10))
 def test_resolvent_agrees_with_elimination(spec):
     res = qnet.thevenin_equivalent(spec)
     elim = qnet.thevenin_by_elimination(spec)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qnet
-from qnet.errors import DarkNode, PivotBreakdown, SingularNetwork, UnphysicalMatch, ValidationError
+from qnet.errors import DarkNode, SingularNetwork, UnphysicalMatch, ValidationError
 
 from conftest import (
     load_settings, make_random_network, network, radiated_overflow, thevenin_overflow, two_node_resonant,
@@ -109,10 +109,19 @@ class TestEliminationRoute:
         assert abs(elim.omega_th - res.omega_th) / abs(res.omega_th) < 1e-10
 
     def test_zero_pivot_breaks_down(self):
-        spec = _two_node(omega_d=1000.0, gamma=(0.0, 0.7))  # h_00 exactly zero
-        with pytest.raises(PivotBreakdown) as err:
+        # h_00 exactly zero: the non-load block is singular and h_th = h_11 + j^2 / h_00 is infinite
+        spec = _two_node(omega_d=1000.0, gamma=(0.0, 0.7))
+        with pytest.raises(SingularNetwork):
             qnet.thevenin_by_elimination(spec)
-        assert err.value.node == 0
+        with pytest.raises(DarkNode):
+            qnet.thevenin_equivalent(spec)
+
+    def test_single_node_has_an_empty_block(self):
+        spec = network([1000.0], [0.8], drive=dict(omega_d=1000.7, rabi=0.3 - 0.2j), load=dict(gamma_load=1.1))
+        res = qnet.thevenin_equivalent(spec)
+        elim = qnet.thevenin_by_elimination(spec)
+        assert elim.h_th == pytest.approx(res.h_th, rel=1e-12)
+        assert elim.omega_th == pytest.approx(res.omega_th, rel=1e-12)
 
 
 class TestLoadAmplitude:
