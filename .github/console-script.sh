@@ -4,6 +4,9 @@
 set -eo pipefail
 qnet gen chain --nodes 3 --out "$RUNNER_TEMP/c.json"
 qnet match --config "$RUNNER_TEMP/c.json"
+# the brute-force grid confirms the conjugate match, and no numpy warning becomes a traceback
+PYTHONWARNINGS=error qnet match --config "$RUNNER_TEMP/c.json" --grid-check > "$RUNNER_TEMP/g.out"
+grep -q '"within_one_cell": true' "$RUNNER_TEMP/g.out"
 qnet gen random --nodes 3 --seed 1 --out "$RUNNER_TEMP/r.json"
 qnet oracle --config "$RUNNER_TEMP/r.json" --n-max 2
 if qnet gen chain --nodes 3 --seed 1 --out "$RUNNER_TEMP/x.json"; then exit 1; fi

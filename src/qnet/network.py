@@ -94,6 +94,14 @@ def _load_values(delta_omega, gamma_load):
     return delta_omega, gamma_load
 
 
+def _drive_frequency(omega_d) -> float:
+    """The rule for a drive frequency: one finite real number > 0."""
+    omega_d = _scalar("drive omega_d", _finite("drive omega_d", omega_d))
+    if not omega_d > 0:
+        raise ValidationError(f"drive frequency must be positive, got {omega_d!r}")
+    return omega_d
+
+
 @dataclass(frozen=True)
 class DriveSpec:
     """Coherent drive on a single node: angular frequency omega_d > 0 and
@@ -106,10 +114,7 @@ class DriveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "node", _integer("drive node", self.node))
-        omega_d = _scalar("drive omega_d", _finite("drive omega_d", self.omega_d))
-        if not omega_d > 0:
-            raise ValidationError(f"drive frequency must be positive, got {omega_d!r}")
-        object.__setattr__(self, "omega_d", omega_d)
+        object.__setattr__(self, "omega_d", _drive_frequency(self.omega_d))
         rabi = _scalar("drive rabi", _finite("drive rabi", self.rabi, "iufc"))
         object.__setattr__(self, "rabi", complex(rabi))
 

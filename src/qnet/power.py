@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMoments, SingularNetwork, UnsupportedTopology
+from .errors import InvalidMoments, SingularNetwork, UnsupportedTopology, ValidationError
 from .network import NetworkSpec
 from .steady import SteadyState, _undriven_matrix, effective_matrix
 
@@ -55,11 +55,16 @@ def general_power_from_correlators(spec, first_moments, second_moments):
     with D_nm = delta_nm * omega_d - w_nm, and p_l the same with the load
     rates. For factorized moments this collapses to the amplitude formulas
     because w_nm + D_nm = delta_nm * omega_d. Raises InvalidMoments when a
-    moment is not finite, when second_moments is not Hermitian to 1e-10
-    (relative) or when the results keep a nonreal part beyond tolerance.
+    moment is not a finite number, when second_moments is not Hermitian to
+    1e-10 (relative) or when the results keep a nonreal part beyond tolerance.
     """
-    amps = np.asarray(first_moments, dtype=complex)
-    corr = np.asarray(second_moments, dtype=complex)
+    moments = {"first_moments": first_moments, "second_moments": second_moments}
+    for name, values in moments.items():
+        try:
+            moments[name] = np.asarray(values, dtype=complex)
+        except (TypeError, ValueError):  # strings, ragged lists
+            raise InvalidMoments(f"{name} must be complex numbers") from None
+    amps, corr = moments.values()
     n = spec.n_nodes
     if amps.shape != (n,) or corr.shape != (n, n):
         raise InvalidMoments(
@@ -157,7 +162,10 @@ def _powers(spec: NetworkSpec, amps, gamma_load):
 
 def power_report(spec: NetworkSpec, state: SteadyState) -> PowerReport:
     """Assemble the full power bookkeeping for a steady state. Raises
+    ValidationError when the state does not hold one amplitude per node and
     SingularNetwork when the powers overflow double precision."""
+    if state.amplitudes.shape != (spec.n_nodes,):
+        raise ValidationError(f"state of shape {state.amplitudes.shape} does not fit {spec.n_nodes} nodes")
     p_in, p_r, p_l, eta, residual = _powers(spec, state.amplitudes, spec.load.gamma_load)
     eta = None if math.isnan(eta) else float(eta)
     residual = 0.0 if math.isnan(residual) else float(residual)

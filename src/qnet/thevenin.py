@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DarkNode, SingularNetwork, UnphysicalMatch
-from .network import LoadSpec, NetworkSpec, _grid, _load_values
+from .errors import DarkNode, SingularNetwork, UnphysicalMatch, ValidationError
+from .network import LoadSpec, NetworkSpec, _drive_frequency, _grid, _load_values
 from .power import _powers
 from .steady import (
     _Factorization, _finite_result, _load_term, _require_residual, _residual_bound, drive_vector,
@@ -151,7 +151,10 @@ def thevenin_by_elimination(spec: NetworkSpec) -> TheveninEquivalent:
 
 
 def load_amplitude_from_thevenin(th: TheveninEquivalent, load: LoadSpec) -> complex:
-    """Load-node amplitude predicted by the reduced single-node equation."""
+    """Load-node amplitude predicted by the reduced single-node equation.
+    Raises ValidationError when the load sits on another node than th's."""
+    if load.node != th.load_node:
+        raise ValidationError(f"load on node {load.node}, but the equivalent is of node {th.load_node}")
     denom = th.h_th + _load_term(load.delta_omega, load.gamma_load)
     if denom == 0:
         raise SingularNetwork("equivalent energy exactly cancels the load term")
@@ -161,7 +164,9 @@ def load_amplitude_from_thevenin(th: TheveninEquivalent, load: LoadSpec) -> comp
 def load_power_thevenin(th: TheveninEquivalent, load: LoadSpec, omega_d: float) -> float:
     """Delivered power predicted by the single-node equivalent,
     omega_d * gamma_load * |a_load|^2 with a_load from the reduced equation.
-    Raises SingularNetwork when that power overflows double precision."""
+    Raises ValidationError for an omega_d that DriveSpec refuses and
+    SingularNetwork when that power overflows double precision."""
+    omega_d = _drive_frequency(omega_d)
     amp_load = load_amplitude_from_thevenin(th, load)
     p_l = _finite_result(
         lambda: omega_d * load.gamma_load * abs(amp_load) ** 2, "reduced load power overflows: p_l = {!r}"
@@ -320,7 +325,9 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridCheck:
-    """Outcome of the grid-search verification of a matched load."""
+    """Outcome of the grid-search verification of a matched load: the
+    argmax of the main grid and, as refined_* and p_refined, the argmax of
+    the last nested grid."""
 
     predicted: MatchedLoad
     argmax_delta_omega: float
@@ -334,36 +341,16 @@ class GridCheck:
     p_refined: float
 
 
-def _refine_axis(evaluate, lo, hi):
-    """Shrink [lo, hi] around the maximum of a unimodal 1-D section by
-    ternary search (discard the losing third each step) until it is
-    1e-9 of its first width, or for at most 120 steps. `evaluate` maps an
-    array of positions to the powers there, so both interior points of a
-    step cost one batched call."""
-    span0 = hi - lo
-    for _ in range(120):
-        if hi - lo <= 1e-9 * span0:
-            break
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        p1, p2 = evaluate([m1, m2])
-        if p1 < p2:
-            lo = m1
-        else:
-            hi = m2
-    mid = 0.5 * (lo + hi)
-    return mid, evaluate([mid])[0]
-
-
 def grid_check(spec) -> GridCheck:
     """Verify the matched-load prediction against brute-force search.
 
     Scans a GRID_POINTS x GRID_POINTS grid of load settings centered on the
     prediction, delta_omega within +-0.1 * gamma_th and gamma_load within
     (1 +- 0.2) * gamma_th, locates the argmax of the full-solve delivered
-    power, then refines along each axis to pin the optimum far below grid
-    resolution. Every brute-force number, refinement included, comes from
+    power, then refines it on nested 5 x 5 grids, each over the cells
+    either side of the last argmax (clipped at the ends), until both axes
+    span at most 1e-9 of two main-grid cells or for at most 60 grids.
+    Every brute-force number, refinement included, comes from
     load_power_map's full solves, none from solve_amplitudes. When
     p_max = 0, a map that is zero everywhere counts as within one cell,
     since every cell is then a maximum, not only the first that argmax picks.
@@ -383,16 +370,14 @@ def grid_check(spec) -> GridCheck:
         and abs(gammas[j] - predicted.gamma_load) <= cell_gamma * (1 + 1e-12)
     ) or (predicted.p_max == 0 and not power.any())
 
-    refined_delta, _ = _refine_axis(
-        lambda d: load_power_map(spec, d, gammas[j : j + 1])[:, 0],
-        deltas[max(i - 1, 0)],
-        deltas[min(i + 1, GRID_POINTS - 1)],
-    )
-    refined_gamma, p_refined = _refine_axis(
-        lambda g: load_power_map(spec, [refined_delta], g)[0],
-        gammas[max(j - 1, 0)],
-        gammas[min(j + 1, GRID_POINTS - 1)],
-    )
+    d, g, a, b = deltas, gammas, i, j
+    for _ in range(60):
+        d = np.linspace(d[max(a - 1, 0)], d[min(a + 1, d.size - 1)], 5)
+        g = np.linspace(g[max(b - 1, 0)], g[min(b + 1, g.size - 1)], 5)
+        p = load_power_map(spec, d, g)
+        a, b = np.unravel_index(int(np.argmax(p)), p.shape)
+        if d[-1] - d[0] <= 2e-9 * cell_delta and g[-1] - g[0] <= 2e-9 * cell_gamma:
+            break
 
     return GridCheck(
         predicted=predicted,
@@ -402,7 +387,7 @@ def grid_check(spec) -> GridCheck:
         cell_gamma=float(cell_gamma),
         p_grid_max=float(power[i, j]),
         within_one_cell=bool(within),
-        refined_delta_omega=float(refined_delta),
-        refined_gamma_load=float(refined_gamma),
-        p_refined=float(p_refined),
+        refined_delta_omega=float(d[a]),
+        refined_gamma_load=float(g[b]),
+        p_refined=float(p[a, b]),
     )

@@ -54,8 +54,8 @@ def test_criterion_2_power_balance(corpus):
 @pytest.mark.slow
 def test_criterion_3_matching_optimality(corpus):
     """200x200 full-solve grid search centered on the prediction: argmax
-    within one cell, grid max within 1e-6 of the closed form, axis-refined
-    max within 1e-10."""
+    within one cell, grid max within 1e-6 of the closed form, max refined
+    on nested grids within 1e-10."""
     worst_grid = worst_refined = 0.0
     all_within = True
     for spec in corpus:

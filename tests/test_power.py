@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qnet
-from qnet.errors import InvalidMoments, UnsupportedTopology
+from qnet.errors import InvalidMoments, UnsupportedTopology, ValidationError
 
 from conftest import load_settings, make_random_network, network, two_node_resonant
 
@@ -59,6 +59,14 @@ class TestZeroCases:
         spec = _one_node()
         state = qnet.solve_amplitudes(spec)
         assert qnet.power_report(spec, state).p_l == 0.0
+
+
+class TestStateShape:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_state_of_another_node_count_is_refused(self, n):
+        spec = make_random_network(n, 0) if n > 1 else _one_node()
+        with pytest.raises(ValidationError, match=rf"^state of shape \(5,\) does not fit {n} nodes$"):
+            qnet.power_report(spec, qnet.SteadyState(amplitudes=np.ones(5)))
 
 
 class TestPowerBalance:
@@ -168,6 +176,21 @@ class TestCorrelatorForm:
     def test_infinite_moments_rejected(self, first, second, name):
         spec = qnet.load_config(CONFIGS / "two_node.json")
         with pytest.raises(InvalidMoments, match=f"{name} moments must be finite"):
+            qnet.general_power_from_correlators(spec, first, second)
+
+    @pytest.mark.parametrize(
+        "first, second, name",
+        [
+            ("ab", np.zeros((2, 2)), "first_moments"),
+            ([[1.0, 2.0], [3.0]], np.zeros((2, 2)), "first_moments"),
+            ([0.0, 0.0], "x", "second_moments"),
+            ([0.0, 0.0], [[1.0, 2.0], [3.0]], "second_moments"),
+        ],
+        ids=["string-first", "ragged-first", "string-second", "ragged-second"],
+    )
+    def test_moments_that_are_not_numbers_rejected(self, first, second, name):
+        spec = qnet.load_config(CONFIGS / "two_node.json")
+        with pytest.raises(InvalidMoments, match=f"^{name} must be complex numbers$"):
             qnet.general_power_from_correlators(spec, first, second)
 
 

@@ -165,6 +165,34 @@ class TestLoadAmplitude:
         with pytest.raises(SingularNetwork, match="^reduced load power overflows: p_l = inf$"):
             qnet.load_power_thevenin(th, spec.load, 1000.0)
 
+    def test_load_on_another_node_is_refused(self):
+        spec = make_random_network(5, 0)
+        th = qnet.thevenin_equivalent(spec)
+        load = qnet.LoadSpec(node=0, gamma_load=1.0)
+        message = "^load on node 0, but the equivalent is of node 4$"
+        with pytest.raises(ValidationError, match=message):
+            qnet.load_amplitude_from_thevenin(th, load)
+        with pytest.raises(ValidationError, match=message):
+            qnet.load_power_thevenin(th, load, 1000.0)
+
+    @pytest.mark.parametrize(
+        "omega_d,message",
+        [
+            (np.nan, "drive omega_d must be finite, got nan"),
+            (np.inf, "drive omega_d must be finite, got inf"),
+            (0.0, "drive frequency must be positive, got 0.0"),
+            (-1.0, "drive frequency must be positive, got -1.0"),
+            ("1000", "drive omega_d must be real"),
+        ],
+    )
+    def test_power_refuses_the_drive_frequencies_drivespec_refuses(self, omega_d, message):
+        spec = make_random_network(5, 0)
+        th = qnet.thevenin_equivalent(spec)
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            qnet.load_power_thevenin(th, spec.load, omega_d)
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            qnet.DriveSpec(node=0, omega_d=omega_d, rabi=0.1)
+
 
 def _weak_loss_chain(n):
     """Chain with gamma = 0.1 on every node, driven inside its band."""
@@ -362,6 +390,23 @@ class TestGridOracle:
         assert check.predicted.p_max == 0.0
         assert check.p_grid_max == 0.0
         assert check.within_one_cell
+
+    def test_grid_check_is_capped_when_rounding_stops_the_widths(self, monkeypatch):
+        # the matched delta_omega is 1e5 - 1, so the nested boxes stop shrinking
+        # some ulps wide, above 1e-9 of two cells, and the cap of 60 grids ends
+        # the search
+        calls = []
+        power_map = qnet.thevenin.load_power_map
+        monkeypatch.setattr(qnet.thevenin, "load_power_map", lambda *args: calls.append(1) or power_map(*args))
+        check = qnet.grid_check(network([1e5], [1.0], drive=dict(omega_d=1.0)))
+        assert check.within_one_cell
+        assert abs(check.p_refined - check.predicted.p_max) <= 1e-10 * check.predicted.p_max
+        assert len(calls) <= 61
+
+    def test_refined_point_lies_within_one_cell_of_the_grid_argmax(self):
+        check = qnet.grid_check(make_random_network(5, 3))
+        assert abs(check.refined_delta_omega - check.argmax_delta_omega) <= check.cell_delta
+        assert abs(check.refined_gamma_load - check.argmax_gamma_load) <= check.cell_gamma
 
     def test_grid_check_scans_a_fixed_200_by_200_grid(self):
         check = qnet.grid_check(make_random_network(2, 17))
