@@ -8,7 +8,9 @@ qnet match --config "$RUNNER_TEMP/c.json"
 PYTHONWARNINGS=error qnet match --config "$RUNNER_TEMP/c.json" --grid-check > "$RUNNER_TEMP/g.out"
 grep -q '"within_one_cell": true' "$RUNNER_TEMP/g.out"
 qnet gen random --nodes 3 --seed 1 --out "$RUNNER_TEMP/r.json"
-qnet oracle --config "$RUNNER_TEMP/r.json" --n-max 2
+# the density-matrix oracle on three nodes (dim 64), and no numpy warning becomes a traceback
+PYTHONWARNINGS=error qnet oracle --config "$RUNNER_TEMP/r.json" --n-max 3 > "$RUNNER_TEMP/r.out"
+grep -q '"dim": 64' "$RUNNER_TEMP/r.out"
 if qnet gen chain --nodes 3 --seed 1 --out "$RUNNER_TEMP/x.json"; then exit 1; fi
 if qnet solve --config "$RUNNER_TEMP/c.json" --bogus 1 2> "$RUNNER_TEMP/err.txt"; then exit 1; fi
 grep -q '^usage: qnet solve' "$RUNNER_TEMP/err.txt"

@@ -7,10 +7,20 @@ S(rho) = -i K rho + i rho K^dagger and J(rho) = sum_k r_k a_k rho adag_k,
 where r_k is node k's loss rate (plus gamma_load at the load node) and the
 non-Hermitian K = sum_nm k_nm adag_n a_m + conj(rabi) a_drive +
 rabi adag_drive carries the Hamiltonian and the -i r_k / 2 decay of every
-channel. It vectorizes the generator on the product Fock space and solves
-for its kernel with a unit trace constraint. Amplitudes, correlators and
-powers extracted from the density matrix validate the linear solver and
-the factorized power formulas from a completely independent direction.
+channel. This is the split of quantum-trajectory theory (Dalibard, Castin
+and Molmer, PRL 68, 580, 1992).
+
+oracle_report solves it in matrix form. With A = -i K in Schur form
+A = Z T Z^dagger, taken once, S(X) = C is the triangular Sylvester
+equation T Y + Y T^dagger = Z^dagger C Z for Y = Z^dagger X Z (Bartels
+and Stewart, Comm. ACM 15, 820, 1972), and the steady state is the fixed
+point of rho <- -S^-1(J(rho)) with unit trace. build_liouvillian and
+steady_state_density instead vectorize the generator on the product Fock
+space and solve for its kernel by sparse LU with a unit trace
+constraint; they are the independent reference for the matrix form.
+Amplitudes, correlators and powers extracted from the density matrix
+validate the linear solver and the factorized power formulas from a
+completely independent direction.
 
 Conventions match the amplitude equations: the load's frequency shift
 enters k_LL as -delta_omega at the load node L and the drive as
@@ -19,16 +29,17 @@ same steady state as the truncation grows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 # scipy.sparse is imported inside the functions that use it, so that
 # `import qnet` and the commands that build no generator start without it.
 
-from .errors import CapacityError, NonUniqueSteadyState, QnetError, ValidationError
+from .errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
 from .network import NetworkSpec, _integer
 from .power import _EPS, _rel, general_power_from_correlators, power_report
-from .steady import SteadyState, _finite_result, _require_decay, solve_amplitudes
+from .steady import SteadyState, _finite_result, _lapack, _require_decay, solve_amplitudes
 
 __all__ = [
     "FockConfig",
@@ -41,10 +52,20 @@ __all__ = [
 ]
 
 # Hard cap on the product Fock dimension (n_max + 1) ** nodes. It bounds
-# the dimension, not the solve time: on a 2-CPU machine, splu of the
-# dim**2-sized generator takes about 0.05 s at dim 36 and 1.1 to 2.0 s at
-# dim 64 (3 nodes, n_max = 3), and took 92 s at dim 125 (n_max = 4).
+# the dimension, not the solve time. With one BLAS thread on a 2-CPU
+# machine, oracle_report's matrix form took 0.03 s at dim 64 (3 nodes,
+# n_max = 3), 0.11 s at 125, 0.76 s at 256, 7.1 s at 529 and 144 s at 1024
+# (5 nodes, n_max = 3). Its Schur form and Sylvester solves grow as dim**3,
+# so dim 4096 would take hours. splu of the dim**2-sized generator of
+# steady_state_density took 1.1 to 2.0 s at dim 64 and 64 to 92 s at 125.
 DIM_CAP = 4096
+# oracle_report's fixed point: it stops once no entry of rho moves by more
+# than FIXED_POINT_TOL in one step, and gives up after FIXED_POINT_STEPS.
+# Rounding leaves steps of 1e-16 or less on 2 to 4 nodes; a weak drive
+# settles in about 7 steps, and the count grows with the mean occupation
+# (44 steps at |rabi| = gamma on two nodes, 132 at 2 gamma).
+FIXED_POINT_TOL = 1e-14
+FIXED_POINT_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -175,12 +196,18 @@ def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
     if residual > 1e-9 * scale:
         raise NonUniqueSteadyState(f"kernel residual {residual:.3e} too large; steady state unreliable")
 
-    rho = solution.reshape((dim, dim), order="F")
+    return _checked_density(solution.reshape((dim, dim), order="F"), cfg)
 
+
+def _checked_density(rho, cfg: FockConfig) -> DensityState:
+    """rho as a DensityState, or QnetError unless it has unit trace, is
+    Hermitian and has no eigenvalue below -1e-6."""
     trace_defect = abs(np.trace(rho) - 1.0)
     herm_defect = np.abs(rho - rho.conj().T).max()
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if trace_defect > 1e-8 or herm_defect > 1e-8 or min_eig < -1e-6:
+    eigs, _, info = _lapack().zheevd(0.5 * (rho + rho.conj().T), compute_v=0)
+    # NaN when zheevd fails, and a test written so that NaN fails
+    min_eig = float("nan") if info else float(eigs.min())
+    if trace_defect > 1e-8 or herm_defect > 1e-8 or not min_eig >= -1e-6:
         raise QnetError(
             "steady-state density matrix failed its invariants "
             f"(trace defect {trace_defect:.2e}, hermiticity defect {herm_defect:.2e}, "
@@ -189,16 +216,177 @@ def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
     return DensityState(rho=rho, config=cfg)
 
 
+def _occupations(cfg: FockConfig):
+    """occ[k, i], the photon number of node k in product basis state i, and
+    step[k], the index distance of one photon in node k. Node 0 varies
+    slowest, as in the Kronecker products of _annihilators, so a_k maps
+    state i + step[k] to state i with weight sqrt(occ[k, i] + 1)."""
+    d = cfg.n_max + 1
+    return np.indices((d,) * cfg.nodes).reshape(cfg.nodes, cfg.dim), d ** np.arange(cfg.nodes - 1, -1, -1)
+
+
+def _non_hermitian(spec: NetworkSpec, cfg: FockConfig, k) -> np.ndarray:
+    """Dense K = sum_nm k_nm adag_n a_m + conj(rabi) a_drive +
+    rabi adag_drive, written entry by entry from the photon numbers:
+    adag_n a_m moves one photon from node m to node n, with weight
+    sqrt(occ_m (occ_n + 1)), so no operator product is formed. Entries
+    that overflow are left for the caller."""
+    occ, step = _occupations(cfg)
+    big = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+    big.flat[:: cfg.dim + 1] = np.diag(k) @ occ
+    for (n, m), k_nm in np.ndenumerate(k):
+        if n != m and k_nm != 0.0:
+            j = np.flatnonzero((occ[m] > 0) & (occ[n] < cfg.n_max))
+            big[j + step[n] - step[m], j] += k_nm * np.sqrt(occ[m, j] * (occ[n, j] + 1.0))
+    node, rabi = spec.drive.node, complex(spec.drive.rabi)
+    j = np.flatnonzero(occ[node] > 0)
+    root = np.sqrt(occ[node, j])
+    big[j - step[node], j] += np.conj(rabi) * root
+    big[j, j - step[node]] += rabi * root
+    return big
+
+
+def _jumps(rho, rates, cfg: FockConfig) -> np.ndarray:
+    """J(rho) = sum_k r_k a_k rho adag_k. In the view of rho that splits
+    out node k's row and column photon numbers, a_k rho adag_k is rho
+    shifted down one photon on both, weighted by sqrt(n) sqrt(n')."""
+    d, out = cfg.n_max + 1, np.zeros_like(rho)
+    root = np.sqrt(np.arange(1.0, d))
+    for k, rate in enumerate(rates):
+        if rate != 0.0:
+            shape = (d**k, d, d ** (cfg.nodes - k - 1)) * 2
+            weight = (rate * np.outer(root, root))[:, None, None, :, None]
+            out.reshape(shape)[:, :-1, :, :, :-1] += weight * rho.reshape(shape)[:, 1:, :, :, 1:]
+    return out
+
+
+def _cutoff_bound(n_max: int) -> float:
+    """Poisson probability of n_max photons at mean (n_max + 1) / 2."""
+    mean = 0.5 * (n_max + 1)
+    return math.exp(n_max * math.log(mean) - mean - math.lgamma(n_max + 1))
+
+
+def _schur(lapack, a, name):
+    """(T, eigenvalues, Z) of the Schur form a = Z T Z^dagger (LAPACK
+    zgees, unsorted, so its selection callback is never called), or
+    SingularNetwork when zgees fails. The oracle takes every LAPACK routine
+    from _lapack(), as the solves do: numpy's own, loaded from another copy
+    of the library, would add about 0.5 MiB to a cold `qnet oracle`."""
+    t, _, eigs, z, _, info = lapack.zgees(lambda w: 0, a)
+    if info:
+        raise SingularNetwork(f"Schur factorization of {name} failed (zgees info {info})")
+    return t, eigs, z
+
+
+def _fixed_point_density(spec: NetworkSpec, cfg: FockConfig) -> DensityState:
+    """Steady state of S(rho) + J(rho) = 0 in matrix form, from the spec's
+    fields alone.
+
+    Takes the Schur form A = Z T Z^dagger of A = -i K once (LAPACK zgees).
+    Each S^-1(C) is then Z Y Z^dagger with Y from the triangular Sylvester
+    equation T Y + Y T^dagger = Z^dagger C Z (ztrsyl, both arguments T).
+    It iterates rho <- -S^-1(J(rho)) with the trace renormalized to 1, a
+    positive map whose fixed point is the kernel of S + J, until no entry
+    of rho moves by more than FIXED_POINT_TOL. The first solve takes the
+    vacuum projector for J(rho), so the first iterate is the no-jump
+    evolution from the vacuum, which a coherent drive carries close to the
+    coherent steady state: 7 steps on two weakly driven nodes at n_max = 5
+    to 12, against 16 to 30 from -S^-1(I). Steps are measured from the
+    vacuum, so an undriven network, whose vacuum S and J both annihilate,
+    stops after one.
+
+    Refusals, in order:
+    - SingularNetwork when an entry of K or a jump weight r_k n_max
+      overflows double precision, or zgees fails on k or on -iK;
+    - NonUniqueSteadyState unless every eigenvalue of k has a negative
+      imaginary part (<a> obeys d<a>/dt = -i k <a> + drive);
+    - SingularNetwork when the residual scale below overflows, computed
+      before the loop so that no step runs on entries it cannot judge;
+    - CapacityError when the state does not fit the cutoff. A coherent
+      state of mean occupation mu has Poisson marginals, each level
+      mu / (n + 1) times the one below it, so the levels past n_max weigh
+      at most c q / (1 - q), where c is the top level's population and
+      q = mu / (n_max + 1). The cut-off tail thus weighs no more than the
+      top level itself while q <= 1/2. The Poisson probability of n_max
+      grows with mu up to mu = n_max, so q <= 1/2 is c <= P(n_max) at
+      mu = (n_max + 1) / 2: 0.25 at n_max = 2, 0.10 at 5, 0.028 at 10.
+      c is the largest marginal population of a top level, read off
+      rho's diagonal. A drive that overfills the space spreads rho about
+      evenly over the n_max + 1 levels, c near 1 / (n_max + 1), which is
+      above the bound at every n_max. This check comes first, so that
+      such a state is refused as such;
+    - NonUniqueSteadyState when the iteration has not settled after
+      FIXED_POINT_STEPS steps, as for a mode that never decays but that
+      rounding hides from the eigenvalue test;
+    - NonUniqueSteadyState when |S(rho) + J(rho)|_F exceeds 1e-9 times
+      2 |K|_F + n_max sum_k r_k, which bounds both terms for any rho of
+      unit trace (|rho|_F <= 1, |a_k|_2^2 = n_max);
+    - QnetError when rho fails the trace, Hermiticity or positivity
+      invariants of steady_state_density.
+    """
+    lapack = _lapack()
+    k, rates = _mode_matrix(spec)
+    big = _finite_result(lambda: _non_hermitian(spec, cfg, k), "generator entries overflow double precision")
+    _finite_result(lambda: rates * cfg.n_max, "generator entries overflow double precision")
+    _require_decay(float(_schur(lapack, k, "k")[1].imag.max()), "max Im eigenvalue of k", "density-matrix oracle")
+    # np.linalg.norm sums squares, which overflow before the norm does
+    scale = _finite_result(
+        lambda: 2.0 * np.linalg.norm(big) + cfg.n_max * rates.sum(),
+        "kernel residual or its scale overflows double precision",
+    )
+    t, _, z = _schur(lapack, -1j * big, "-iK")
+    zh = z.conj().T
+    vacuum = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+    vacuum[0, 0] = 1.0
+    rho, jumps = vacuum, vacuum
+    for _ in range(FIXED_POINT_STEPS):
+        # the solve's scale factor and the sign of -S^-1 drop out with the trace
+        y = lapack.ztrsyl(t, t, zh @ jumps @ z, tranb="C")[0]
+        new = z @ (y / np.trace(y)) @ zh
+        step = np.abs(new - rho).max()
+        rho, jumps = new, _jumps(new, rates, cfg)
+        if step <= FIXED_POINT_TOL:
+            break
+
+    occ, _ = _occupations(cfg)
+    top = [rho.diagonal().real[occ[node] == cfg.n_max].sum() for node in range(cfg.nodes)]
+    node = int(np.argmax(top))
+    if top[node] > _cutoff_bound(cfg.n_max):
+        raise CapacityError(
+            f"state does not fit n_max = {cfg.n_max}: population {top[node]:.1e} at the cutoff of node {node}"
+        )
+    if not step <= FIXED_POINT_TOL:
+        raise NonUniqueSteadyState(
+            f"fixed point not reached in {FIXED_POINT_STEPS} steps (last step {step:.3e}); steady state not unique"
+        )
+    residual = _finite_result(
+        lambda: np.linalg.norm(-1j * (big @ rho - rho @ big.conj().T) + jumps),
+        "kernel residual or its scale overflows double precision",
+    )
+    if residual > 1e-9 * scale:
+        raise NonUniqueSteadyState(f"kernel residual {residual:.3e} too large; steady state unreliable")
+    return _checked_density(rho, cfg)
+
+
 def moments(state: DensityState):
     """All first moments <a_k> = tr(a_k rho) and second moments
-    <adag_n a_m> = tr(adag_n a_m rho) of a density state, from one set of
-    annihilation operators. Returns (amps, corr): a length-N complex array
-    and an N x N complex array indexed [n, m]."""
-    ops = _annihilators(state.config)
-    amps = np.array([(a @ state.rho).diagonal().sum() for a in ops])
-    corr = np.array(
-        [[(a_n.conj().T @ a_m @ state.rho).diagonal().sum() for a_m in ops] for a_n in ops]
-    )
+    <adag_n a_m> = tr(a_m rho adag_n) of a density state, summed straight
+    from rho's entries: tr(a_m rho adag_n) is the sum over basis states i
+    below the cutoff in nodes m and n of
+    sqrt(occ_m + 1) sqrt(occ_n + 1) rho[i + step_m, i + step_n].
+    Returns (amps, corr): a length-N complex array and an N x N complex
+    array indexed [n, m]."""
+    cfg, rho = state.config, state.rho
+    occ, step = _occupations(cfg)
+    below = occ < cfg.n_max
+    amps = np.empty(cfg.nodes, dtype=complex)
+    corr = np.empty((cfg.nodes, cfg.nodes), dtype=complex)
+    for m in range(cfg.nodes):
+        i = np.flatnonzero(below[m])
+        amps[m] = np.sqrt(occ[m, i] + 1.0) @ rho[i + step[m], i]
+        for n in range(cfg.nodes):
+            i = np.flatnonzero(below[m] & below[n])
+            corr[n, m] = np.sqrt((occ[m, i] + 1.0) * (occ[n, i] + 1.0)) @ rho[i + step[m], i + step[n]]
     return amps, corr
 
 
@@ -227,16 +415,14 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
     Returns a dictionary with the relative amplitude discrepancy, the
     factorization residual, and power comparisons between the
     correlator-based formulas (density-matrix moments) and the factorized
-    amplitude formulas (linear solve). Raises NonUniqueSteadyState for a
-    network with a mode that never decays.
+    amplitude formulas (linear solve). The density matrix comes from the
+    matrix-form fixed point, whose refusals _fixed_point_density lists:
+    NonUniqueSteadyState for a network with a mode that never decays or a
+    fixed point that is not reached, CapacityError for a state that does
+    not fit the cutoff or a dimension above DIM_CAP.
     """
     cfg = FockConfig(n_max=n_max, nodes=spec.n_nodes)
-    liouvillian = build_liouvillian(spec, cfg)
-    # <a> obeys d<a>/dt = -i k <a> + drive, so the modes all decay only
-    # when every eigenvalue of k has a negative imaginary part
-    alpha = float(np.linalg.eigvals(_mode_matrix(spec)[0]).imag.max())
-    _require_decay(alpha, "max Im eigenvalue of k", "density-matrix oracle")
-    state = steady_state_density(liouvillian, cfg)
+    state = _fixed_point_density(spec, cfg)
     linear = solve_amplitudes(spec)
 
     amps, corr = moments(state)

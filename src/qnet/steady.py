@@ -119,7 +119,8 @@ def _lapack():
     of a cold `qnet solve`), and kept in sys.modules under its own name for
     a later import of scipy.linalg to reuse; the module already there if
     scipy.linalg came first. scipy.linalg.lapack when the file cannot be
-    found or loaded, or lacks a routine that _Factorization calls."""
+    found or loaded, or lacks a routine that _Factorization or the
+    density-matrix oracle calls."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
@@ -131,7 +132,8 @@ def _lapack():
             spec.loader.exec_module(module)
         except Exception:  # any failure to find or load the file: the package route below
             module = None
-    if not all(hasattr(module, routine) for routine in ("zgetrf", "zgecon", "zgetrs", "zgbtrf", "zgbcon", "zgbtrs")):
+    routines = ("zgetrf", "zgecon", "zgetrs", "zgbtrf", "zgbcon", "zgbtrs", "zgees", "ztrsyl", "zheevd")
+    if not all(hasattr(module, routine) for routine in routines):
         from scipy.linalg import lapack
 
         return lapack

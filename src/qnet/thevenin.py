@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DarkNode, SingularNetwork, UnphysicalMatch, ValidationError
-from .network import LoadSpec, NetworkSpec, _drive_frequency, _grid, _load_values
+from .network import LoadSpec, NetworkSpec, _drive_frequency, _finite, _grid, _integer, _load_values, _scalar
 from .power import _powers
 from .steady import (
     _Factorization, _finite_result, _load_term, _require_residual, _residual_bound, drive_vector,
@@ -53,11 +53,19 @@ GRID_POINTS = 200
 
 @dataclass(frozen=True)
 class TheveninEquivalent:
-    """Equivalent single-node energy and drive for the load node."""
+    """Equivalent single-node energy and drive for the load node, stored
+    as complex, complex and int. h_th and omega_th must be finite numbers
+    and load_node an integer >= 0; a field that breaks the rules of
+    _finite, _scalar and _integer raises ValidationError."""
 
     h_th: complex
     omega_th: complex
     load_node: int
+
+    def __post_init__(self):
+        for name in ("h_th", "omega_th"):
+            object.__setattr__(self, name, complex(_scalar(name, _finite(name, getattr(self, name), "iufc"))))
+        object.__setattr__(self, "load_node", _integer("load_node", self.load_node, 0))
 
     @property
     def delta_omega_th(self) -> float:

@@ -570,14 +570,23 @@ class TestOracle:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("rabi_re", 1e150), ("rabi_re", 1e160), ("rabi_re", 1e200), ("rabi_re", 1e300),
-         ("omega_d", 1e200), ("omega_d", 1e300)],
+        [("rabi_re", 1e160), ("rabi_re", 1e200), ("rabi_re", 1e300), ("omega_d", 1e200), ("omega_d", 1e300)],
     )
     def test_overflowing_kernel_norms_exit_3(self, capsys, tmp_path, key, value):
         # every generator entry is finite, but the sum of squares in a norm is not
         path = bundled_config(tmp_path, lambda data: data["drive"].update({key: value}))
         code, out, err = run_quietly(capsys, "oracle", "--config", path, "--n-max", "2")
         assert (code, out, err) == (3, "", "qnet: kernel residual or its scale overflows double precision\n")
+
+    @pytest.mark.parametrize(
+        "rabi, population", [(10.0, "3.2e-01"), (1e150, "3.3e-01")], ids=["rabi_re-10", "rabi_re-1e+150"]
+    )
+    def test_a_drive_past_the_cutoff_exits_5(self, capsys, tmp_path, rabi, population):
+        # the scale of 1e150 still fits, so the state is judged and refused
+        path = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=rabi))
+        code, out, err = run_quietly(capsys, "oracle", "--config", path, "--n-max", "2")
+        assert (code, out) == (5, "")
+        assert err == f"qnet: capacity: state does not fit n_max = 2: population {population} at the cutoff of node 0\n"
 
 
     def test_a_mode_that_never_decays_exits_3(self, capsys, tmp_path):
@@ -707,7 +716,7 @@ class TestModuleEntryPoint:
         # a numpy warning would end the process with a traceback and exit 1
         monkeypatch.setenv("PYTHONWARNINGS", "error")
         thevenin = write_config(tmp_path, thevenin_overflow())
-        oracle = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=1e150))
+        oracle = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=1e160))
         for argv, message in (
             (("thevenin", "--config", thevenin), "h_th or omega_th"),
             (("oracle", "--config", oracle, "--n-max", "2"), "kernel residual or its scale"),
@@ -715,6 +724,13 @@ class TestModuleEntryPoint:
             done = self.run_module(*argv)
             expected = f"qnet: {message} overflows double precision\n"
             assert (done.returncode, done.stdout, done.stderr) == (3, "", expected)
+
+    def test_a_drive_past_the_cutoff_exits_5_with_warnings_as_errors(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("PYTHONWARNINGS", "error")
+        oracle = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=1e150))
+        done = self.run_module("oracle", "--config", oracle, "--n-max", "2")
+        expected = "qnet: capacity: state does not fit n_max = 2: population 3.3e-01 at the cutoff of node 0\n"
+        assert (done.returncode, done.stdout, done.stderr) == (5, "", expected)
 
 
 class TestConsistencyAcrossCommands:

@@ -1,9 +1,10 @@
 """Import boundaries: each command loads only the libraries it runs.
 
 scipy costs more start-up time than numpy and all of qnet together, so only
-the routes that factor a matrix (scipy's LAPACK extension,
-scipy.linalg._flapack, loaded by file without the scipy.linalg package) or
-build a Liouvillian (scipy.sparse) import it. The one rule that keeps it so:
+the routes that factor a matrix or solve the density-matrix oracle in
+matrix form (scipy's LAPACK extension, scipy.linalg._flapack, loaded by
+file without the scipy.linalg package) or build a vectorized Liouvillian
+(scipy.sparse, which no command does) import it. The one rule that keeps it so:
 no module in src/qnet imports scipy at module level, only inside the
 functions that call it. The grid map is the one place that starts threads:
 it alone imports a thread module, concurrent.futures' ThreadPoolExecutor,
@@ -148,18 +149,19 @@ def test_factoring_commands_load_only_the_lapack_extension(tmp_path, argv):
     assert executor_modules(modules) == []
 
 
-ROUTINES = ("zgetrf", "zgecon", "zgetrs", "zgbtrf", "zgbcon", "zgbtrs")
+ROUTINES = ("zgetrf", "zgecon", "zgetrs", "zgbtrf", "zgbcon", "zgbtrs", "zgees", "ztrsyl", "zheevd")
 
-# solve and match on every bundled config, each stdout captured with its exit code
-SOLVE_AND_MATCH = (
+# solve and match on every bundled config and the oracle on two_node, each
+# stdout captured with its exit code
+SOLVE_MATCH_AND_ORACLE = (
     "import contextlib, io, qnet.cli\n"
     "code = []\n"
-    "for command in ('solve', 'match'):\n"
-    "    for config in ('two_node', 'chain_50', 'random_50'):\n"
-    f"        argv = [command, '--config', {str(ROOT / 'configs')!r} + '/' + config + '.json']\n"
-    "        with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-    "            exit_code = qnet.cli.main(argv)\n"
-    "        code.append([exit_code, out.getvalue()])\n"
+    "runs = [[command, config] for command in ('solve', 'match') for config in ('two_node', 'chain_50', 'random_50')]\n"
+    "for command, config in runs + [['oracle', 'two_node']]:\n"
+    f"    argv = [command, '--config', {str(ROOT / 'configs')!r} + '/' + config + '.json']\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "        exit_code = qnet.cli.main(argv)\n"
+    "    code.append([exit_code, out.getvalue()])\n"
     "import scipy.linalg.lapack\n"
     "from qnet.steady import _lapack\n"
     "code = [code, _lapack() is scipy.linalg.lapack]\n"
@@ -173,30 +175,33 @@ MISSES = {
         "find_spec = importlib.util.find_spec\n"
         "importlib.util.find_spec = lambda name, package=None: None if name == 'scipy' else find_spec(name, package)\n"
     ),
-    # the module loaded from the file lacks zgbcon
-    "no-routine": (
-        "import importlib.util, types\n"
-        "module_from_spec = importlib.util.module_from_spec\n"
-        "def without_zgbcon(spec):\n"
-        "    stub = types.ModuleType(spec.name)\n"
-        "    stub.__dict__.update(vars(module_from_spec(spec)))\n"
-        "    del stub.zgbcon\n"
-        "    return stub\n"
-        "importlib.util.module_from_spec = without_zgbcon\n"
-    ),
+    # the module loaded from the file lacks zgbcon, or the oracle's ztrsyl
+    **{
+        miss: (
+            "import importlib.util, types\n"
+            "module_from_spec = importlib.util.module_from_spec\n"
+            "def without_routine(spec):\n"
+            "    stub = types.ModuleType(spec.name)\n"
+            "    stub.__dict__.update(vars(module_from_spec(spec)))\n"
+            f"    del stub.{routine}\n"
+            "    return stub\n"
+            "importlib.util.module_from_spec = without_routine\n"
+        )
+        for miss, routine in (("no-routine", "zgbcon"), ("no-ztrsyl", "ztrsyl"))
+    },
 }
 
 
 @pytest.fixture(scope="module")
 def direct_route():
-    return fresh_run(SOLVE_AND_MATCH)
+    return fresh_run(SOLVE_MATCH_AND_ORACLE)
 
 
 @pytest.mark.parametrize("miss", MISSES.values(), ids=MISSES.keys())
 def test_the_package_fallback_prints_the_same_bytes(direct_route, miss):
     (direct, direct_fell_back), _ = direct_route
-    (fallback, fell_back), modules = fresh_run(miss + SOLVE_AND_MATCH)
-    assert [exit_code for exit_code, _ in direct] == [0] * 6
+    (fallback, fell_back), modules = fresh_run(miss + SOLVE_MATCH_AND_ORACLE)
+    assert [exit_code for exit_code, _ in direct] == [0] * 7
     assert fallback == direct
     assert (direct_fell_back, fell_back) == (False, True)
     assert "scipy.linalg" in modules
@@ -239,9 +244,10 @@ def test_match_with_a_threaded_grid_check_loads_only_the_thread_pool(tmp_path):
     assert json.loads(out.read_text())["grid_check"]["within_one_cell"] is True
 
 
-def test_oracle_loads_the_sparse_route_and_reports(tmp_path):
+def test_oracle_loads_only_the_lapack_extension_and_reports(tmp_path):
     out = tmp_path / "oracle.json"
     code, modules = cli_run("oracle", "--config", TWO_NODE, "--n-max", "3", "--out", str(out))
     assert code == 0
-    assert {"qnet.lindblad", "scipy.sparse"} <= modules
+    assert scipy_modules(modules) == ["scipy.linalg._flapack"]
+    assert executor_modules(modules) == []
     assert json.loads(out.read_text())["dim"] == 16

@@ -2,6 +2,7 @@
 moments, and cross-validation of the amplitude route."""
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import scipy.sparse as sp
 import qnet
 from qnet.errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
 
-from conftest import network
+from conftest import make_random_network, network
 
+TWO_NODE = Path(__file__).resolve().parent.parent / "configs" / "two_node.json"
 WEAK_DRIVE = 0.05 * np.exp(0.6j)  # |rabi| = 0.05 * gamma with a nontrivial phase
 
 
@@ -114,8 +116,11 @@ class TestGeneratorStructure:
             monkeypatch.setattr(qnet.lindblad, name, boom, raising=False)
         spec = _two_node()
         cfg = qnet.FockConfig(n_max=3, nodes=2)
-        state = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
-        assert abs(np.trace(state.rho) - 1.0) <= 1e-10
+        for state in (
+            qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg),
+            qnet.lindblad._fixed_point_density(spec, cfg),
+        ):
+            assert abs(np.trace(state.rho) - 1.0) <= 1e-10
 
 
 def _textbook_generator(spec, n_max):
@@ -176,6 +181,111 @@ class TestTextbookForm:
             expected = reference(rho)
             drho = (liou @ rho.reshape(-1, order="F")).reshape((cfg.dim, cfg.dim), order="F")
             assert np.linalg.norm(drho - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def _random_hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return m + m.conj().T
+
+
+# Tolerance of the matrix-form route against the sparse kernel solve. Both
+# solves are backward stable, and the fixed point stops once no entry of
+# rho moves by more than FIXED_POINT_TOL = 1e-14 in one step; 1e-12 leaves
+# a hundredfold margin over that stop for a slow contraction and for the
+# conditioning of either route. Observed: 1.7e-15 or less for the weak
+# drives, 2.0e-14 at |rabi| = gamma, where the steps shrink more slowly.
+RHO_ATOL = 1e-12
+
+MATRIX_FORM_SPECS = {
+    **TEXTBOOK_SPECS,
+    "random-3-node-seed-0": (make_random_network(3, 0), 3),
+    "random-3-node-seed-1": (make_random_network(3, 1), 3),
+}
+
+
+class TestMatrixForm:
+    @pytest.mark.parametrize("name", list(MATRIX_FORM_SPECS))
+    def test_matches_the_sparse_kernel_solve(self, name):
+        spec, n_max = MATRIX_FORM_SPECS[name]
+        cfg = qnet.FockConfig(n_max=n_max, nodes=spec.n_nodes)
+        sparse = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg).rho
+        assert np.abs(qnet.lindblad._fixed_point_density(spec, cfg).rho - sparse).max() <= RHO_ATOL
+
+    @pytest.mark.parametrize("name", list(TEXTBOOK_SPECS))
+    def test_its_generator_matches_the_term_by_term_master_equation(self, name):
+        # the bound of the vectorized generator's test: the rounding of a
+        # few dozen terms per entry stays far below 1e-13 of the norm
+        spec, n_max = TEXTBOOK_SPECS[name]
+        cfg = qnet.FockConfig(n_max=n_max, nodes=spec.n_nodes)
+        k, rates = qnet.lindblad._mode_matrix(spec)
+        big = qnet.lindblad._non_hermitian(spec, cfg, k)
+        reference = _textbook_generator(spec, n_max)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            rho = _random_hermitian(rng, cfg.dim)
+            expected = reference(rho)
+            drho = -1j * (big @ rho - rho @ big.conj().T) + qnet.lindblad._jumps(rho, rates, cfg)
+            assert np.linalg.norm(drho - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_moments_match_the_operator_products(self):
+        # moments() sums the terms of tr(a_m rho) and tr(adag_n a_m rho) with
+        # the sparse operators in another order: 1e-13 of sum |rho| is ample
+        spec, n_max = TEXTBOOK_SPECS["three-node-chain"]
+        cfg = qnet.FockConfig(n_max=n_max, nodes=spec.n_nodes)
+        rho = _random_hermitian(np.random.default_rng(5), cfg.dim)
+        ops = qnet.lindblad._annihilators(cfg)
+        amps, corr = qnet.moments(qnet.DensityState(rho=rho, config=cfg))
+        expected_amps = np.array([(a @ rho).diagonal().sum() for a in ops])
+        expected_corr = np.array([[(a_n.conj().T @ a_m @ rho).diagonal().sum() for a_m in ops] for a_n in ops])
+        assert np.abs(amps - expected_amps).max() <= 1e-13 * np.abs(rho).sum()
+        assert np.abs(corr - expected_corr).max() <= 1e-13 * np.abs(rho).sum()
+
+    def test_a_drive_as_strong_as_the_loss_converges(self):
+        # |rabi| = gamma takes about 45 steps, against 7 for a weak drive
+        spec = _two_node(rabi=1.0)
+        cfg = qnet.FockConfig(n_max=6, nodes=2)
+        sparse = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg).rho
+        assert np.abs(qnet.lindblad._fixed_point_density(spec, cfg).rho - sparse).max() <= RHO_ATOL
+
+    def test_an_undriven_network_relaxes_to_vacuum(self):
+        # K has the vacuum in its kernel here, so S is singular along it
+        cfg = qnet.FockConfig(n_max=3, nodes=2)
+        rho = qnet.lindblad._fixed_point_density(_two_node(rabi=0.0), cfg).rho
+        vacuum = np.zeros((cfg.dim, cfg.dim))
+        vacuum[0, 0] = 1.0
+        assert np.abs(rho - vacuum).max() <= RHO_ATOL
+
+    def test_a_dark_mode_that_rounding_hides_never_settles(self):
+        # (node 0 - node 2) / sqrt(2) lives on the lossless nodes and never
+        # decays, but rounding puts its rate at -4.9e-18 in k, so the
+        # eigenvalue test passes it and the fixed point never settles
+        spec = network(
+            [1000.0, 1000.2, 1000.0], [0.0, 1.0, 0.0], {(0, 1): 1.3, (1, 2): 1.3},
+            dict(omega_d=1000.7, rabi=0.1), dict(node=1, gamma_load=0.5),
+        )
+        with pytest.raises(NonUniqueSteadyState, match="^fixed point not reached in 1000 steps"):
+            qnet.oracle_report(spec, n_max=2)
+
+    def test_a_state_past_the_cutoff_is_refused(self):
+        spec = qnet.load_config(TWO_NODE).with_drive(rabi=10.0)
+        with pytest.raises(
+            CapacityError, match="^state does not fit n_max = 2: population 3.2e-01 at the cutoff of node 0$"
+        ):
+            qnet.oracle_report(spec, n_max=2)
+
+    def test_the_cutoff_bound_is_below_an_even_spread_at_every_cutoff(self):
+        # a drive that overfills the space spreads rho about evenly over
+        # its n_max + 1 levels; the Poisson bound must refuse that spread
+        assert qnet.lindblad._cutoff_bound(2) == pytest.approx(2.25 * np.exp(-1.5) / 2.0, rel=1e-14)
+        assert all(1.0 / (n + 1) > qnet.lindblad._cutoff_bound(n) for n in range(1, qnet.lindblad.DIM_CAP))
+
+    def test_an_overflowing_jump_weight_is_singular_without_warnings(self):
+        # every entry of K fits, but r_1 n_max = 2e308 does not
+        spec = network([1000.0, 1000.0], [1.0, 1e308], {(0, 1): 2.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularNetwork, match="^generator entries overflow double precision$"):
+                qnet.oracle_report(spec, n_max=2)
 
 
 class TestSteadyStateDensity:

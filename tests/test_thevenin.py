@@ -124,6 +124,31 @@ class TestEliminationRoute:
         assert elim.omega_th == pytest.approx(res.omega_th, rel=1e-12)
 
 
+class TestEquivalentFields:
+    def test_fields_are_stored_as_complex_complex_and_int(self):
+        th = qnet.TheveninEquivalent(h_th=np.float64(-1.0), omega_th=2, load_node=np.int64(3))
+        assert (th.h_th, th.omega_th, th.load_node) == (-1.0 + 0j, 2.0 + 0j, 3)
+        assert (type(th.h_th), type(th.omega_th), type(th.load_node)) == (complex, complex, int)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(h_th=complex("nan")), "h_th must be finite, got (nan+0j)"),
+            (dict(h_th=float("inf")), "h_th must be finite, got inf"),
+            (dict(omega_th=complex(0.0, float("-inf"))), "omega_th must be finite, got -infj"),
+            (dict(omega_th="0.1"), "omega_th must be a number, got '0.1'"),
+            (dict(h_th=[1.0, 2.0]), "h_th must be a single number, got an array of shape (2,)"),
+            (dict(load_node=-1), "load_node must be >= 0, got -1"),
+            (dict(load_node=1.0), "load_node must be an integer, got 1.0"),
+            (dict(load_node=True), "load_node must be an integer, got True"),
+        ],
+    )
+    def test_a_field_that_breaks_its_rule_is_refused(self, fields, message):
+        with pytest.raises(ValidationError) as caught:
+            qnet.TheveninEquivalent(**{"h_th": -1.0 + 0.5j, "omega_th": 0.1, "load_node": 0, **fields})
+        assert str(caught.value) == message
+
+
 class TestLoadAmplitude:
     def test_zero_equivalent_drive(self):
         th = qnet.TheveninEquivalent(h_th=-1.0 + 0.5j, omega_th=0.0, load_node=0)
