@@ -260,6 +260,14 @@ def _jumps(rho, rates, cfg: FockConfig) -> np.ndarray:
     return out
 
 
+def _frobenius(x) -> float:
+    """|x|_F taken as m |x / m|_F with m = max |x_ij|: summing the squares
+    of x itself overflows long before the norm does. An entry that is not
+    finite gives nan, which the caller's _finite_result refuses."""
+    m = np.abs(x).max(initial=0.0)
+    return float(m * np.linalg.norm(x / m)) if m else 0.0
+
+
 def _cutoff_bound(n_max: int) -> float:
     """Poisson probability of n_max photons at mean (n_max + 1) / 2."""
     mean = 0.5 * (n_max + 1)
@@ -329,9 +337,8 @@ def _fixed_point_density(spec: NetworkSpec, cfg: FockConfig) -> DensityState:
     big = _finite_result(lambda: _non_hermitian(spec, cfg, k), "generator entries overflow double precision")
     _finite_result(lambda: rates * cfg.n_max, "generator entries overflow double precision")
     _require_decay(float(_schur(lapack, k, "k")[1].imag.max()), "max Im eigenvalue of k", "density-matrix oracle")
-    # np.linalg.norm sums squares, which overflow before the norm does
     scale = _finite_result(
-        lambda: 2.0 * np.linalg.norm(big) + cfg.n_max * rates.sum(),
+        lambda: 2.0 * _frobenius(big) + cfg.n_max * rates.sum(),
         "kernel residual or its scale overflows double precision",
     )
     t, _, z = _schur(lapack, -1j * big, "-iK")
@@ -360,7 +367,7 @@ def _fixed_point_density(spec: NetworkSpec, cfg: FockConfig) -> DensityState:
             f"fixed point not reached in {FIXED_POINT_STEPS} steps (last step {step:.3e}); steady state not unique"
         )
     residual = _finite_result(
-        lambda: np.linalg.norm(-1j * (big @ rho - rho @ big.conj().T) + jumps),
+        lambda: _frobenius(-1j * (big @ rho - rho @ big.conj().T) + jumps),
         "kernel residual or its scale overflows double precision",
     )
     if residual > 1e-9 * scale:

@@ -45,8 +45,12 @@ __all__ = [
 # the same resolvent column) count as a decoupled load node.
 DARK_RTOL = 1e-14
 # Bytes of full matrices per batched solve of load_power_map: the map holds
-# at most workers x this, whatever the grid; the cost per point hardly moves.
-GRID_CHUNK_BYTES = 4 * 2**20
+# one stack of this size per worker, whatever the grid. Below 1 MiB two
+# workers pay for passing the interpreter lock between them on every chunk;
+# a 200 x 200 map at N = 50 on two workers (one worker: 2.0-2.6 s at every
+# size), 2-CPU machine, one BLAS thread:
+#   4 MiB 1.18-1.40 s | 1 MiB 1.14-1.18 s | 512 KiB 1.39-1.43 s | 256 KiB 3.4-4.8 s
+GRID_CHUNK_BYTES = 2**20
 # Points per axis of grid_check's brute-force grid.
 GRID_POINTS = 200
 
@@ -266,16 +270,17 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     or whose power overflows raises SingularNetwork.
 
     The grid is solved in chunks of at most GRID_CHUNK_BYTES of matrices
-    (one matrix when a single one is larger). A thread pool of one worker
-    per usable CPU, or per chunk if fewer, maps them in grid order; one
-    chunk or one CPU runs on the calling thread and starts no thread. A
-    chunk taken after a chunk before it in grid order has raised returns
-    unsolved, so no solve of a later chunk starts after a failure. The map
-    thus holds at most workers x GRID_CHUNK_BYTES of matrices, raises the
-    first failing chunk in grid order and returns the same bits as a
-    serial loop.
+    (one matrix when a single one is larger). One worker per usable CPU,
+    or per chunk if fewer, pulls chunk starts in grid order from one shared
+    iterator: the calling thread and workers - 1 threads, so one chunk or
+    one CPU starts no thread. Each worker owns one stack of matrices, so
+    the map holds workers x GRID_CHUNK_BYTES of matrices whatever the
+    number of chunks. A worker whose chunk raises records the error by the
+    chunk's start, and no worker takes a chunk after that; once every
+    worker has stopped, the error of the first failing chunk in grid order
+    is raised. The map returns the same bits as a serial loop.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    import threading
 
     delta_values, gamma_values = _load_values(delta_values, gamma_values)
     delta_values = _grid("load delta_omega", delta_values)
@@ -289,17 +294,17 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
     amp_load = np.empty((delta_values.size, gamma_values.size), dtype=complex)
     chunk = max(1, GRID_CHUNK_BYTES // base.nbytes)
     starts = range(0, h_l.size, chunk)
-    workers = min(_usable_cpus(), len(starts))
-    # one stack of full matrices per worker, lent to one chunk at a time and
-    # made on this thread: stacks freed by pool threads stay in their heaps
+    # an empty grid still has the calling thread, which finds no chunk
+    workers = max(1, min(_usable_cpus(), len(starts)))
+    # every stack is made on this thread: stacks freed by worker threads would
+    # stay in their heaps
     stacks = [np.repeat(base[None], min(chunk, h_l.size), axis=0) for _ in range(workers)]
-    failed = []  # starts of the chunks that raised
+    pending = iter(starts)
+    lock = threading.Lock()
+    failures = {}  # chunk start -> the error its solve raised
 
-    def solve_chunk(start):
-        if failed and start > min(failed):  # the map raises before this chunk
-            return
+    def solve_chunk(start, stack):
         part = h_l[start : start + chunk]
-        stack = stacks.pop()
         mats = stack[: part.size]
         mats[:, load, load] = base[load, load] + part
         # errstate is per thread, so each chunk sets its own; the trailing
@@ -307,24 +312,38 @@ def load_power_map(spec, delta_values, gamma_values) -> np.ndarray:
         with np.errstate(all="ignore"):
             try:
                 sols = np.linalg.solve(mats, np.broadcast_to(rhs[:, None], (part.size, rhs.size, 1)))
-                residual = np.linalg.norm((mats @ sols)[..., 0] - rhs, axis=1).max()
-                _require_residual(residual, bound, "grid solve residual")
-            except BaseException as exc:
-                failed.append(start)
-                if isinstance(exc, np.linalg.LinAlgError):
-                    raise SingularNetwork(str(exc)) from None
-                raise
-            finally:
-                stacks.append(stack)
+            except np.linalg.LinAlgError as exc:
+                raise SingularNetwork(str(exc)) from None
+            residual = np.linalg.norm((mats @ sols)[..., 0] - rhs, axis=1).max()
+        _require_residual(residual, bound, "grid solve residual")
         amp_load.flat[start : start + chunk] = sols[:, load, 0]
 
-    if workers < 2:
-        list(map(solve_chunk, starts))
-    else:
-        # pool.map reads the chunks in grid order and, once one raises,
-        # cancels those no worker has taken; leaving the block joins the pool
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(solve_chunk, starts))
+    def work(stack):
+        # starts come in grid order, so once a chunk has failed every start
+        # still pending lies after it
+        while True:
+            with lock:
+                start = None if failures else next(pending, None)
+            if start is None:
+                return
+            try:
+                solve_chunk(start, stack)
+            except BaseException as exc:  # raised again on the calling thread
+                with lock:
+                    failures[start] = exc
+
+    threads = []
+    try:
+        for stack in stacks[1:]:
+            thread = threading.Thread(target=work, args=(stack,))
+            thread.start()
+            threads.append(thread)
+        work(stacks[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
 
     return _finite_result(
         lambda: spec.drive.omega_d * gamma_values * np.abs(amp_load) ** 2, "grid load power overflows"

@@ -568,25 +568,36 @@ class TestOracle:
         code, _, _ = run(capsys, "oracle", "--config", path, "--n-max", "100")
         assert code == 5
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("rabi_re", 1e160), ("rabi_re", 1e200), ("rabi_re", 1e300), ("omega_d", 1e200), ("omega_d", 1e300)],
-    )
-    def test_overflowing_kernel_norms_exit_3(self, capsys, tmp_path, key, value):
-        # every generator entry is finite, but the sum of squares in a norm is not
-        path = bundled_config(tmp_path, lambda data: data["drive"].update({key: value}))
+    @pytest.mark.parametrize("key", ["rabi_re", "rabi_im"])
+    def test_overflowing_kernel_norms_exit_3(self, capsys, tmp_path, key):
+        # every generator entry is finite, but 2 |K|_F is not
+        path = bundled_config(tmp_path, lambda data: data["drive"].update({key: 1e308}))
         code, out, err = run_quietly(capsys, "oracle", "--config", path, "--n-max", "2")
         assert (code, out, err) == (3, "", "qnet: kernel residual or its scale overflows double precision\n")
 
     @pytest.mark.parametrize(
-        "rabi, population", [(10.0, "3.2e-01"), (1e150, "3.3e-01")], ids=["rabi_re-10", "rabi_re-1e+150"]
+        "rabi, population",
+        [(10.0, "3.2e-01"), (1e150, "3.3e-01"), (1e160, "3.3e-01"), (1e200, "3.3e-01"), (1e300, "3.3e-01")],
+        ids=["rabi_re-10", "rabi_re-1e+150", "rabi_re-1e+160", "rabi_re-1e+200", "rabi_re-1e+300"],
     )
     def test_a_drive_past_the_cutoff_exits_5(self, capsys, tmp_path, rabi, population):
-        # the scale of 1e150 still fits, so the state is judged and refused
+        # from 1e154 on, the squares of the generator's entries overflow, but
+        # its norm and the residual scale fit, so the state is judged and refused
         path = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=rabi))
         code, out, err = run_quietly(capsys, "oracle", "--config", path, "--n-max", "2")
         assert (code, out) == (5, "")
         assert err == f"qnet: capacity: state does not fit n_max = 2: population {population} at the cutoff of node 0\n"
+
+    @pytest.mark.parametrize("omega_d", [1e200, 1e300], ids=["omega_d-1e+200", "omega_d-1e+300"])
+    def test_a_far_detuned_drive_is_reported(self, capsys, tmp_path, omega_d):
+        # the squares of the detunings overflow, but the norms fit; the nearly
+        # empty state is solved and agrees with the amplitude route
+        path = bundled_config(tmp_path, lambda data: data["drive"].update(omega_d=omega_d))
+        code, out, err = run_quietly(capsys, "oracle", "--config", path, "--n-max", "2")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["dim"] == 9
+        assert payload["amplitude_rel_discrepancy"] <= 1e-4
 
 
     def test_a_mode_that_never_decays_exits_3(self, capsys, tmp_path):
@@ -716,7 +727,7 @@ class TestModuleEntryPoint:
         # a numpy warning would end the process with a traceback and exit 1
         monkeypatch.setenv("PYTHONWARNINGS", "error")
         thevenin = write_config(tmp_path, thevenin_overflow())
-        oracle = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=1e160))
+        oracle = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=1e308))
         for argv, message in (
             (("thevenin", "--config", thevenin), "h_th or omega_th"),
             (("oracle", "--config", oracle, "--n-max", "2"), "kernel residual or its scale"),
@@ -726,11 +737,13 @@ class TestModuleEntryPoint:
             assert (done.returncode, done.stdout, done.stderr) == (3, "", expected)
 
     def test_a_drive_past_the_cutoff_exits_5_with_warnings_as_errors(self, monkeypatch, tmp_path):
+        # at 1e160 the squares of the generator's entries overflow; its norm does not
         monkeypatch.setenv("PYTHONWARNINGS", "error")
-        oracle = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=1e150))
-        done = self.run_module("oracle", "--config", oracle, "--n-max", "2")
         expected = "qnet: capacity: state does not fit n_max = 2: population 3.3e-01 at the cutoff of node 0\n"
-        assert (done.returncode, done.stdout, done.stderr) == (5, "", expected)
+        for rabi in (1e150, 1e160):
+            oracle = bundled_config(tmp_path, lambda data: data["drive"].update(rabi_re=rabi))
+            done = self.run_module("oracle", "--config", oracle, "--n-max", "2")
+            assert (done.returncode, done.stdout, done.stderr) == (5, "", expected)
 
 
 class TestConsistencyAcrossCommands:

@@ -447,9 +447,10 @@ def _points_per_chunk(n):
 
 class TestGridMapChunks:
     """load_power_map splits its grid into chunks of GRID_CHUNK_BYTES of
-    matrices and maps them over a pool of one thread per usable CPU. A
-    grid row no longer than one chunk runs inline, so row-by-row calls
-    are the serial map."""
+    matrices, pulled in grid order by one worker per usable CPU: the
+    calling thread and one started thread for each other worker. A grid
+    row no longer than one chunk runs inline, so row-by-row calls are the
+    serial map."""
 
     @pytest.mark.parametrize(
         "n, rows, cpus", [(10, 7, None), (50, 30, None), (10, 30, 8)],
@@ -483,7 +484,7 @@ class TestGridMapChunks:
         chunks = -(-power.size // _points_per_chunk(n))
         assert chunks > 1
         workers = min(qnet.thevenin._usable_cpus(), chunks)
-        assert len(started) == (workers if workers > 1 else 0)  # one worker runs inline
+        assert len(started) == workers - 1  # the calling thread is one worker
         assert power.tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("deltas, gammas", [([], [1.0, 2.0]), ([0.1], [])])
@@ -514,20 +515,25 @@ class TestGridMapChunks:
         assert threading.active_count() == threads_before
 
     def test_residual_miss_in_a_pool_chunk_is_singular(self, monkeypatch):
-        # six chunks on two pool threads; chunk 4 misses the residual bound, so
-        # its error reaches the caller through the pool
+        # six chunks on two workers; the first chunk solved off the calling
+        # thread misses the residual bound, so its error reaches the caller
+        # from the worker thread. The calling thread holds its chunk until
+        # then, so the worker thread is sure to take one.
         monkeypatch.setattr(qnet.thevenin, "_usable_cpus", lambda: 2)
         spec = make_random_network(50, 5)
-        load = spec.load.node
-        base_imag = qnet.effective_matrix(spec, loaded=False)[load, load].imag
         gammas = np.ones(_points_per_chunk(50))  # chunk k is grid row k
         solve = np.linalg.solve
+        missed = threading.Event()
         failed_on = []
 
         def off_solve(a, b):
-            if round(a[0, load, load].imag - base_imag) != 4:
+            if threading.current_thread() is threading.main_thread():
+                missed.wait(timeout=10.0)
+                return solve(a, b)
+            if missed.is_set():
                 return solve(a, b)
             failed_on.append(threading.current_thread())
+            missed.set()
             return solve(a, b) * (1 + 1e-6)
 
         monkeypatch.setattr(np.linalg, "solve", off_solve)
@@ -536,7 +542,7 @@ class TestGridMapChunks:
         assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
 
     def test_a_failing_chunk_stops_the_map(self, monkeypatch):
-        # 385 chunks of a 200 x 200 grid; chunk 0 fails, so only the chunks
+        # 1539 chunks of a 200 x 200 grid; chunk 0 fails, so only the chunks
         # already running may be solved after it
         monkeypatch.setattr(qnet.thevenin, "_usable_cpus", lambda: 2)
         spec = make_random_network(50, 5)
@@ -608,3 +614,29 @@ class TestGridMapChunks:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * qnet.thevenin.GRID_CHUNK_BYTES * workers
+
+    def test_map_memory_is_per_worker_not_per_chunk(self):
+        # a 200 x 200 map at N = 50 spans 1539 chunks. Each worker holds one
+        # stack of at most GRID_CHUNK_BYTES; the solutions, their product with
+        # the stack and the residual rows of its current chunk take 1/N of
+        # that each, and the copy that np.linalg.solve factors is made outside
+        # numpy's allocator, which tracemalloc does not see. So 2 x
+        # GRID_CHUNK_BYTES per worker covers one worker's share with room to
+        # spare. The grid's own arrays take 48 bytes a point at their peak:
+        # the complex load terms and load amplitudes (16 + 16), then |a_L|^2
+        # and the power made from it (8 + 8). Anything kept per chunk, such as
+        # one future for each, adds up past this bound.
+        spec = make_random_network(50, 5)
+        matched = qnet.matched_load(spec)
+        deltas = matched.delta_omega + np.linspace(-1.0, 1.0, 200) * matched.gamma_load
+        gammas = np.linspace(0.5, 1.5, 200) * matched.gamma_load
+        chunks = -(-deltas.size * gammas.size // _points_per_chunk(50))
+        assert chunks == 1539
+        workers = min(qnet.thevenin._usable_cpus(), chunks)
+        tracemalloc.start()
+        try:
+            qnet.load_power_map(spec, deltas, gammas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * qnet.thevenin.GRID_CHUNK_BYTES * workers + 48 * deltas.size * gammas.size
