@@ -229,8 +229,9 @@ def test_the_loader_returns_the_extension_that_scipy_linalg_loaded():
     assert code is True
 
 
-def test_match_with_a_threaded_grid_check_loads_no_pool_module(tmp_path):
-    # a 5-node grid map spans several chunks, so it starts worker threads
+def test_match_with_a_threaded_grid_check_loads_only_the_thread_pool(tmp_path):
+    # a 5-node grid map spans several chunks, so it starts worker threads;
+    # they are plain threading.Thread objects, so no pool module loads
     net, out = str(tmp_path / "net.json"), tmp_path / "match.json"
     code, modules = fresh_run(
         "import qnet.cli\n"
