@@ -10,14 +10,11 @@ rabi adag_drive carries the Hamiltonian and the -i r_k / 2 decay of every
 channel. This is the split of quantum-trajectory theory (Dalibard, Castin
 and Molmer, PRL 68, 580, 1992).
 
-oracle_report solves it in matrix form. With A = -i K in Schur form
-A = Z T Z^dagger, taken once, S(X) = C is the triangular Sylvester
-equation T Y + Y T^dagger = Z^dagger C Z for Y = Z^dagger X Z (Bartels
-and Stewart, Comm. ACM 15, 820, 1972), and the steady state is the fixed
-point of rho <- -S^-1(J(rho)) with unit trace. build_liouvillian and
-steady_state_density instead vectorize the generator on the product Fock
-space and solve for its kernel by sparse LU with a unit trace
-constraint; they are the independent reference for the matrix form.
+It is solved in matrix form: build_liouvillian takes the Schur form of
+-i K once, and steady_state_density finds the fixed point of
+rho <- -S^-1(J(rho)) with unit trace, each S^-1 a triangular Sylvester
+solve (Bartels and Stewart, Comm. ACM 15, 820, 1972). The tests keep a
+vectorized sparse Liouvillian as the route's independent reference.
 Amplitudes, correlators and powers extracted from the density matrix
 validate the linear solver and the factorized power formulas from a
 completely independent direction.
@@ -33,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.sparse is imported inside the functions that use it, so that
-# `import qnet` and the commands that build no generator start without it.
 
 from .errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
 from .network import NetworkSpec, _integer
@@ -51,15 +46,14 @@ __all__ = [
     "oracle_report",
 ]
 
-# Hard cap on the product Fock dimension (n_max + 1) ** nodes. It bounds
-# the dimension, not the solve time. With one BLAS thread on a 2-CPU
-# machine, oracle_report's matrix form took 0.03 s at dim 64 (3 nodes,
-# n_max = 3), 0.11 s at 125, 0.76 s at 256, 7.1 s at 529 and 144 s at 1024
-# (5 nodes, n_max = 3). Its Schur form and Sylvester solves grow as dim**3,
-# so dim 4096 would take hours. splu of the dim**2-sized generator of
-# steady_state_density took 1.1 to 2.0 s at dim 64 and 64 to 92 s at 125.
-DIM_CAP = 4096
-# oracle_report's fixed point: it stops once no entry of rho moves by more
+# Hard cap on the product Fock dimension (n_max + 1) ** nodes: the largest
+# dimension measured to finish. With one BLAS thread on a 2-CPU machine,
+# oracle_report took 0.03 s at dim 64 (3 nodes, n_max = 3), 0.11 s at 125,
+# 0.76 s at 256, 7.1 s at 529 and 144 s at 1024 (5 nodes, n_max = 3). Its
+# Schur form and Sylvester solves grow as dim**3, so dim 4096 would take
+# hours.
+DIM_CAP = 1024
+# steady_state_density's fixed point: it stops once no entry of rho moves by more
 # than FIXED_POINT_TOL in one step, and gives up after FIXED_POINT_STEPS.
 # Rounding leaves steps of 1e-16 or less on 2 to 4 nodes; a weak drive
 # settles in about 7 steps, and the count grows with the mean occupation
@@ -103,20 +97,6 @@ class DensityState:
         object.__setattr__(self, "rho", arr)
 
 
-def _annihilators(cfg: FockConfig):
-    """Sparse annihilation operator for each node on the product space."""
-    import scipy.sparse as sp
-
-    d = cfg.n_max + 1
-    single = sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr")
-    ops = []
-    for k in range(cfg.nodes):
-        left = sp.identity(d**k, format="csr")
-        right = sp.identity(d ** (cfg.nodes - k - 1), format="csr")
-        ops.append(sp.kron(sp.kron(left, single), right, format="csr"))
-    return ops
-
-
 def _mode_matrix(spec: NetworkSpec):
     """The N x N matrix k of K's sum_nm k_nm adag_n a_m, and the loss
     rates r. k holds the detunings less i r_n / 2 on its diagonal and the
@@ -128,75 +108,6 @@ def _mode_matrix(spec: NetworkSpec):
         np.fill_diagonal(k, spec.node_frequencies - spec.drive.omega_d - 0.5j * rates)
         k[spec.load.node, spec.load.node] -= spec.load.delta_omega
     return k, rates
-
-
-def build_liouvillian(spec: NetworkSpec, cfg: FockConfig):
-    """Vectorized generator of the dissipative dynamics (sparse, column
-    stacking convention: d vec(rho)/dt = L vec(rho)), in no-jump/jump form
-    L = -i (I (x) K) + i (conj(K) (x) I) + sum_k r_k (conj(a_k) (x) a_k).
-    Raises SingularNetwork when an entry overflows double precision."""
-    import scipy.sparse as sp
-
-    if cfg.nodes != spec.n_nodes:
-        raise ValidationError(f"FockConfig is for {cfg.nodes} nodes but the network has {spec.n_nodes}")
-    ops = _annihilators(cfg)
-    eye = sp.identity(cfg.dim, format="csr")
-    k, rates = _mode_matrix(spec)
-    a_drive = ops[spec.drive.node]
-    rabi = complex(spec.drive.rabi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        non_hermitian = np.conj(rabi) * a_drive + rabi * a_drive.conj().T
-        for (n, m), k_nm in np.ndenumerate(k):
-            if k_nm != 0.0:
-                non_hermitian = non_hermitian + k_nm * (ops[n].conj().T @ ops[m])
-        liou = -1j * sp.kron(eye, non_hermitian) + 1j * sp.kron(non_hermitian.conj(), eye)
-        for rate, a_k in zip(rates, ops):
-            if rate != 0.0:
-                liou = liou + rate * sp.kron(a_k.conj(), a_k)
-    liou = liou.tocsr()
-    _finite_result(lambda: liou.data, "generator entries overflow double precision")
-    return liou
-
-
-def steady_state_density(liouvillian, cfg: FockConfig) -> DensityState:
-    """Kernel of the generator with unit trace.
-
-    Sparse LU factorization of the generator with its first row replaced
-    by the trace constraint tr(rho) = 1. A degenerate kernel leaves the
-    modified generator singular (NonUniqueSteadyState), and the solution
-    must also satisfy the unmodified generator to a relative residual of
-    1e-9 before its density-matrix invariants are checked. A residual or
-    scale norm that overflows double precision raises SingularNetwork.
-    """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg
-
-    dim = cfg.dim
-    size = dim * dim
-    if liouvillian.shape != (size, size):
-        raise ValidationError(f"generator shape {liouvillian.shape} does not match dim {dim}")
-
-    # complex even for a real generator: splu factors a real matrix as real
-    # and then cannot solve for the complex right-hand side
-    generator = sp.csr_matrix(liouvillian, dtype=complex)
-    # the row that reads tr(rho) off vec(rho): ones at every diagonal position
-    trace_row = sp.csr_matrix((np.ones(dim), np.arange(0, size, dim + 1), [0, dim]), shape=(1, size))
-    modified = sp.vstack([trace_row, generator[1:]], format="csc")
-    rhs = np.zeros(size, dtype=complex)
-    rhs[0] = 1.0
-    try:
-        solution = sp.linalg.splu(modified).solve(rhs)
-    except RuntimeError as exc:
-        raise NonUniqueSteadyState(str(exc)) from None
-    # both norms sum squares, which overflow before the norms themselves do
-    residual, scale = _finite_result(
-        lambda: (np.linalg.norm(generator @ solution), sp.linalg.norm(generator) * np.linalg.norm(solution)),
-        "kernel residual or its scale overflows double precision",
-    )
-    if residual > 1e-9 * scale:
-        raise NonUniqueSteadyState(f"kernel residual {residual:.3e} too large; steady state unreliable")
-
-    return _checked_density(solution.reshape((dim, dim), order="F"), cfg)
 
 
 def _checked_density(rho, cfg: FockConfig) -> DensityState:
@@ -219,7 +130,7 @@ def _checked_density(rho, cfg: FockConfig) -> DensityState:
 def _occupations(cfg: FockConfig):
     """occ[k, i], the photon number of node k in product basis state i, and
     step[k], the index distance of one photon in node k. Node 0 varies
-    slowest, as in the Kronecker products of _annihilators, so a_k maps
+    slowest, as in a Kronecker product whose first factor is node 0, so a_k maps
     state i + step[k] to state i with weight sqrt(occ[k, i] + 1)."""
     d = cfg.n_max + 1
     return np.indices((d,) * cfg.nodes).reshape(cfg.nodes, cfg.dim), d ** np.arange(cfg.nodes - 1, -1, -1)
@@ -286,52 +197,34 @@ def _schur(lapack, a, name):
     return t, eigs, z
 
 
-def _fixed_point_density(spec: NetworkSpec, cfg: FockConfig) -> DensityState:
-    """Steady state of S(rho) + J(rho) = 0 in matrix form, from the spec's
-    fields alone.
+@dataclass(frozen=True, eq=False)
+class _Generator:
+    """S + J on one truncation for steady_state_density: the dense K, the
+    loss rates r_k, the residual scale and the Schur form -iK = Z T Z^H."""
 
-    Takes the Schur form A = Z T Z^dagger of A = -i K once (LAPACK zgees).
-    Each S^-1(C) is then Z Y Z^dagger with Y from the triangular Sylvester
-    equation T Y + Y T^dagger = Z^dagger C Z (ztrsyl, both arguments T).
-    It iterates rho <- -S^-1(J(rho)) with the trace renormalized to 1, a
-    positive map whose fixed point is the kernel of S + J, until no entry
-    of rho moves by more than FIXED_POINT_TOL. The first solve takes the
-    vacuum projector for J(rho), so the first iterate is the no-jump
-    evolution from the vacuum, which a coherent drive carries close to the
-    coherent steady state: 7 steps on two weakly driven nodes at n_max = 5
-    to 12, against 16 to 30 from -S^-1(I). Steps are measured from the
-    vacuum, so an undriven network, whose vacuum S and J both annihilate,
-    stops after one.
+    config: FockConfig
+    big: np.ndarray
+    rates: np.ndarray
+    scale: float
+    t: np.ndarray
+    z: np.ndarray
 
-    Refusals, in order:
-    - SingularNetwork when an entry of K or a jump weight r_k n_max
-      overflows double precision, or zgees fails on k or on -iK;
-    - NonUniqueSteadyState unless every eigenvalue of k has a negative
-      imaginary part (<a> obeys d<a>/dt = -i k <a> + drive);
-    - SingularNetwork when the residual scale below overflows, computed
-      before the loop so that no step runs on entries it cannot judge;
-    - CapacityError when the state does not fit the cutoff. A coherent
-      state of mean occupation mu has Poisson marginals, each level
-      mu / (n + 1) times the one below it, so the levels past n_max weigh
-      at most c q / (1 - q), where c is the top level's population and
-      q = mu / (n_max + 1). The cut-off tail thus weighs no more than the
-      top level itself while q <= 1/2. The Poisson probability of n_max
-      grows with mu up to mu = n_max, so q <= 1/2 is c <= P(n_max) at
-      mu = (n_max + 1) / 2: 0.25 at n_max = 2, 0.10 at 5, 0.028 at 10.
-      c is the largest marginal population of a top level, read off
-      rho's diagonal. A drive that overfills the space spreads rho about
-      evenly over the n_max + 1 levels, c near 1 / (n_max + 1), which is
-      above the bound at every n_max. This check comes first, so that
-      such a state is refused as such;
-    - NonUniqueSteadyState when the iteration has not settled after
-      FIXED_POINT_STEPS steps, as for a mode that never decays but that
-      rounding hides from the eigenvalue test;
-    - NonUniqueSteadyState when |S(rho) + J(rho)|_F exceeds 1e-9 times
-      2 |K|_F + n_max sum_k r_k, which bounds both terms for any rho of
-      unit trace (|rho|_F <= 1, |a_k|_2^2 = n_max);
-    - QnetError when rho fails the trace, Hermiticity or positivity
-      invariants of steady_state_density.
+
+def build_liouvillian(spec: NetworkSpec, cfg: FockConfig) -> _Generator:
+    """The generator S + J on cfg's truncation, from the spec's fields
+    alone, as the record steady_state_density solves: the dense K and the
+    Schur form A = Z T Z^dagger of A = -i K (LAPACK zgees), taken once.
+
+    Refusals, in order: ValidationError when cfg is for another node
+    count; SingularNetwork when an entry of K or a jump weight r_k n_max
+    overflows double precision, or zgees fails on k or on -iK;
+    NonUniqueSteadyState unless every eigenvalue of k has a negative
+    imaginary part (<a> obeys d<a>/dt = -i k <a> + drive); SingularNetwork
+    when steady_state_density's residual scale overflows, so that no step
+    runs on entries it cannot judge.
     """
+    if cfg.nodes != spec.n_nodes:
+        raise ValidationError(f"FockConfig is for {cfg.nodes} nodes but the network has {spec.n_nodes}")
     lapack = _lapack()
     k, rates = _mode_matrix(spec)
     big = _finite_result(lambda: _non_hermitian(spec, cfg, k), "generator entries overflow double precision")
@@ -342,6 +235,50 @@ def _fixed_point_density(spec: NetworkSpec, cfg: FockConfig) -> DensityState:
         "kernel residual or its scale overflows double precision",
     )
     t, _, z = _schur(lapack, -1j * big, "-iK")
+    return _Generator(config=cfg, big=big, rates=rates, scale=scale, t=t, z=z)
+
+
+def steady_state_density(generator: _Generator, cfg: FockConfig) -> DensityState:
+    """Steady state of S(rho) + J(rho) = 0 for build_liouvillian's record.
+
+    Each S^-1(C) is Z Y Z^dagger with Y from the triangular Sylvester
+    equation T Y + Y T^dagger = Z^dagger C Z (ztrsyl, both arguments T).
+    It iterates rho <- -S^-1(J(rho)) with the trace renormalized to 1, a
+    positive map whose fixed point is the kernel of S + J, until no entry
+    of rho moves by more than FIXED_POINT_TOL. It starts from the vacuum:
+    the no-jump evolution from it lands close to a coherent steady state
+    (7 steps on two weakly driven nodes at n_max = 5 to 12, against 16 to
+    30 from -S^-1(I)), and an undriven network, whose vacuum S and J both
+    annihilate, stops after one.
+
+    Refusals, in order:
+    - ValidationError for anything but build_liouvillian's record for cfg;
+    - CapacityError when c, the largest marginal population of a top Fock
+      level, read off rho's diagonal, exceeds P(n_max), the Poisson
+      probability of n_max at mean (n_max + 1) / 2: 0.25 at n_max = 2,
+      0.10 at 5, 0.028 at 10. A coherent state of mean occupation mu has
+      Poisson marginals, each level mu / (n + 1) times the one below, so
+      the levels past n_max weigh at most c q / (1 - q) with
+      q = mu / (n_max + 1), no more than c while q <= 1/2; P(n_max) grows
+      with mu up to mu = n_max, so q <= 1/2 is c <= P(n_max). A drive that
+      overfills the space spreads rho about evenly, c near 1 / (n_max + 1),
+      above the bound at every n_max; this check comes first, so that such
+      a state is refused as such;
+    - NonUniqueSteadyState when the iteration has not settled after
+      FIXED_POINT_STEPS steps, as for a mode that never decays but that
+      rounding hides from build_liouvillian's eigenvalue test;
+    - NonUniqueSteadyState when |S(rho) + J(rho)|_F exceeds 1e-9 times
+      2 |K|_F + n_max sum_k r_k, which bounds both terms for any rho of
+      unit trace (|rho|_F <= 1, |a_k|_2^2 = n_max);
+    - QnetError when rho fails the trace, Hermiticity or positivity
+      invariants.
+    """
+    if not isinstance(generator, _Generator):
+        raise ValidationError(f"not a generator of build_liouvillian: {type(generator).__name__}")
+    if generator.config != cfg:
+        raise ValidationError(f"generator was built for {generator.config}, not {cfg}")
+    lapack = _lapack()
+    big, rates, t, z = generator.big, generator.rates, generator.t, generator.z
     zh = z.conj().T
     vacuum = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     vacuum[0, 0] = 1.0
@@ -370,7 +307,7 @@ def _fixed_point_density(spec: NetworkSpec, cfg: FockConfig) -> DensityState:
         lambda: _frobenius(-1j * (big @ rho - rho @ big.conj().T) + jumps),
         "kernel residual or its scale overflows double precision",
     )
-    if residual > 1e-9 * scale:
+    if residual > 1e-9 * generator.scale:
         raise NonUniqueSteadyState(f"kernel residual {residual:.3e} too large; steady state unreliable")
     return _checked_density(rho, cfg)
 
@@ -422,14 +359,12 @@ def oracle_report(spec: NetworkSpec, n_max: int) -> dict:
     Returns a dictionary with the relative amplitude discrepancy, the
     factorization residual, and power comparisons between the
     correlator-based formulas (density-matrix moments) and the factorized
-    amplitude formulas (linear solve). The density matrix comes from the
-    matrix-form fixed point, whose refusals _fixed_point_density lists:
-    NonUniqueSteadyState for a network with a mode that never decays or a
-    fixed point that is not reached, CapacityError for a state that does
-    not fit the cutoff or a dimension above DIM_CAP.
+    amplitude formulas (linear solve). The density matrix comes from
+    build_liouvillian and steady_state_density, which list their refusals;
+    a dimension above DIM_CAP raises CapacityError.
     """
     cfg = FockConfig(n_max=n_max, nodes=spec.n_nodes)
-    state = _fixed_point_density(spec, cfg)
+    state = steady_state_density(build_liouvillian(spec, cfg), cfg)
     linear = solve_amplitudes(spec)
 
     amps, corr = moments(state)

@@ -1,17 +1,18 @@
 """Import boundaries: each command loads only the libraries it runs.
 
 scipy costs more start-up time than numpy and all of qnet together, so only
-the routes that factor a matrix or solve the density-matrix oracle in
-matrix form (scipy's LAPACK extension, scipy.linalg._flapack, loaded by
-file without the scipy.linalg package) or build a vectorized Liouvillian
-(scipy.sparse, which no command does) import it. The one rule that keeps it so:
-no module in src/qnet imports scipy at module level, only inside the
-functions that call it. The grid map is the one place that starts threads:
-it alone imports a thread module, `threading`, inside load_power_map. numpy
-has imported `threading` already, so that import loads nothing, and no
-command loads a pool module such as concurrent.futures. Static checks read
-both rules off the source; every other check runs in a fresh interpreter,
-because this test process imported scipy long ago.
+the routes that factor a matrix or solve the density-matrix oracle import
+it, and only scipy's LAPACK extension, scipy.linalg._flapack, loaded by
+file without the scipy.linalg package. Two rules keep it so: no module in
+src/qnet imports scipy at module level, only inside the functions that
+call it, and none imports scipy.sparse at all (the sparse Liouvillian is
+the oracle's reference in the tests). The grid map is the one place that
+starts threads: it alone imports a thread module, `threading`, inside
+load_power_map. numpy has imported `threading` already, so that import
+loads nothing, and no command loads a pool module such as
+concurrent.futures. Static checks read these rules off the source; every
+other check runs in a fresh interpreter, because this test process
+imported scipy long ago.
 """
 import ast
 import json
@@ -72,7 +73,8 @@ def imports_by_function(tree):
 def imported_modules(node):
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
-    return [node.module] if node.level == 0 else []
+    # `from scipy import sparse` may name a submodule
+    return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names] if node.level == 0 else []
 
 
 def package_imports():
@@ -93,6 +95,13 @@ def test_no_module_imports_scipy_at_module_level():
         f"{file}:{line} imports {name}"
         for file, function, line, name in package_imports()
         if function is None and is_in(name, "scipy")
+    ]
+    assert offenders == []
+
+
+def test_no_module_imports_scipy_sparse():
+    offenders = [
+        f"{file}:{line} imports {name}" for file, _, line, name in package_imports() if is_in(name, "scipy.sparse")
     ]
     assert offenders == []
 

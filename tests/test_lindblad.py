@@ -1,5 +1,8 @@
 """Density-matrix ground truth: generator structure, steady states,
-moments, and cross-validation of the amplitude route."""
+moments, and cross-validation of the amplitude route. The product's
+matrix form (qnet.build_liouvillian, qnet.steady_state_density) is checked
+against the sparse vectorized Liouvillian of liouvillian_reference and
+against the term-by-term master equation."""
 import json
 import warnings
 from pathlib import Path
@@ -9,8 +12,10 @@ import pytest
 import scipy.sparse as sp
 
 import qnet
+import qnet.cli
 from qnet.errors import CapacityError, NonUniqueSteadyState, QnetError, SingularNetwork, ValidationError
 
+import liouvillian_reference as reference
 from conftest import make_random_network, network
 
 TWO_NODE = Path(__file__).resolve().parent.parent / "configs" / "two_node.json"
@@ -36,10 +41,18 @@ class TestFockConfig:
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
-            qnet.FockConfig(n_max=64, nodes=2)  # 65^2 > 4096
+            qnet.FockConfig(n_max=64, nodes=2)  # 65^2 > 1024
 
     def test_cap_boundary_allowed(self):
-        assert qnet.FockConfig(n_max=63, nodes=2).dim == 4096
+        assert qnet.FockConfig(n_max=31, nodes=2).dim == 1024
+
+    @pytest.mark.parametrize("n_max, nodes, dim", [(32, 2, 1089), (3, 6, 4096)])
+    def test_a_dimension_the_oracle_cannot_finish_is_refused(self, n_max, nodes, dim):
+        # dim 1024 took 144 s; dim 4096 would take hours
+        with pytest.raises(
+            CapacityError, match=rf"^Fock dimension {dim} exceeds the cap of 1024 \(n_max={n_max}, nodes={nodes}\)$"
+        ):
+            qnet.FockConfig(n_max=n_max, nodes=nodes)
 
     def test_cutoff_must_be_positive(self):
         with pytest.raises(ValidationError, match="^n_max must be >= 1, got 0$"):
@@ -68,13 +81,13 @@ class TestGeneratorStructure:
         # resonant undriven two-level boson: rates 0, -g/2, -g/2, -g
         gamma = 0.8
         cfg = qnet.FockConfig(n_max=1, nodes=1)
-        liou = qnet.build_liouvillian(_one_node(gamma=gamma), cfg)
+        liou = reference.build_liouvillian(_one_node(gamma=gamma), cfg)
         eigs = np.sort(np.linalg.eigvals(liou.toarray()).real)
         assert np.allclose(eigs, [-gamma, -gamma / 2, -gamma / 2, 0.0], atol=1e-12)
 
     def test_trace_preservation(self):
         cfg = qnet.FockConfig(n_max=2, nodes=2)
-        liou = qnet.build_liouvillian(_two_node(), cfg)
+        liou = reference.build_liouvillian(_two_node(), cfg)
         rng = np.random.default_rng(0)
         for _ in range(5):
             m = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
@@ -84,7 +97,7 @@ class TestGeneratorStructure:
 
     def test_hermiticity_preservation(self):
         cfg = qnet.FockConfig(n_max=2, nodes=2)
-        liou = qnet.build_liouvillian(_two_node(), cfg)
+        liou = reference.build_liouvillian(_two_node(), cfg)
         rng = np.random.default_rng(1)
         m = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
         rho = m + m.conj().T
@@ -92,19 +105,21 @@ class TestGeneratorStructure:
         assert np.abs(drho - drho.conj().T).max() <= 1e-12 * np.abs(drho).max()
 
     def test_node_count_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            qnet.build_liouvillian(_two_node(), qnet.FockConfig(n_max=2, nodes=3))
+        for build in (qnet.build_liouvillian, reference.build_liouvillian):
+            with pytest.raises(ValidationError, match="^FockConfig is for 3 nodes but the network has 2$"):
+                build(_two_node(), qnet.FockConfig(n_max=2, nodes=3))
 
     def test_overflowing_load_rate_is_singular_without_warnings(self):
         # the load node's loss rate gamma_1 + gamma_load overflows
         spec = network([1000.0, 1000.0], [1.0, 1e308], {(0, 1): 2.5}, {}, dict(gamma_load=1e308))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SingularNetwork, match="^generator entries overflow double precision$"):
-                qnet.build_liouvillian(spec, qnet.FockConfig(n_max=2, nodes=2))
+        for build in (qnet.build_liouvillian, reference.build_liouvillian):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularNetwork, match="^generator entries overflow double precision$"):
+                    build(spec, qnet.FockConfig(n_max=2, nodes=2))
 
     def test_sparse_output(self):
-        liou = qnet.build_liouvillian(_one_node(), qnet.FockConfig(n_max=2, nodes=1))
+        liou = reference.build_liouvillian(_one_node(), qnet.FockConfig(n_max=2, nodes=1))
         assert sp.issparse(liou)
 
     def test_route_never_calls_the_amplitude_solver(self, monkeypatch):
@@ -116,11 +131,19 @@ class TestGeneratorStructure:
             monkeypatch.setattr(qnet.lindblad, name, boom, raising=False)
         spec = _two_node()
         cfg = qnet.FockConfig(n_max=3, nodes=2)
-        for state in (
-            qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg),
-            qnet.lindblad._fixed_point_density(spec, cfg),
-        ):
+        for route in (qnet, reference):
+            state = route.steady_state_density(route.build_liouvillian(spec, cfg), cfg)
             assert abs(np.trace(state.rho) - 1.0) <= 1e-10
+
+    def test_the_reference_shares_no_algebra_with_the_matrix_form(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the sparse reference called the matrix form")
+
+        for name in ("_non_hermitian", "_jumps", "_schur", "build_liouvillian", "steady_state_density"):
+            monkeypatch.setattr(qnet.lindblad, name, boom)
+        cfg = qnet.FockConfig(n_max=3, nodes=2)
+        state = reference.steady_state_density(reference.build_liouvillian(_two_node(), cfg), cfg)
+        assert abs(np.trace(state.rho) - 1.0) <= 1e-10
 
 
 def _textbook_generator(spec, n_max):
@@ -172,13 +195,13 @@ class TestTextbookForm:
     def test_generator_matches_the_term_by_term_master_equation(self, name):
         spec, n_max = TEXTBOOK_SPECS[name]
         cfg = qnet.FockConfig(n_max=n_max, nodes=spec.n_nodes)
-        liou = qnet.build_liouvillian(spec, cfg)
-        reference = _textbook_generator(spec, n_max)
+        liou = reference.build_liouvillian(spec, cfg)
+        textbook = _textbook_generator(spec, n_max)
         rng = np.random.default_rng(3)
         for _ in range(3):
             m = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
             rho = m + m.conj().T
-            expected = reference(rho)
+            expected = textbook(rho)
             drho = (liou @ rho.reshape(-1, order="F")).reshape((cfg.dim, cfg.dim), order="F")
             assert np.linalg.norm(drho - expected) <= 1e-13 * np.linalg.norm(expected)
 
@@ -208,8 +231,8 @@ class TestMatrixForm:
     def test_matches_the_sparse_kernel_solve(self, name):
         spec, n_max = MATRIX_FORM_SPECS[name]
         cfg = qnet.FockConfig(n_max=n_max, nodes=spec.n_nodes)
-        sparse = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg).rho
-        assert np.abs(qnet.lindblad._fixed_point_density(spec, cfg).rho - sparse).max() <= RHO_ATOL
+        sparse = reference.steady_state_density(reference.build_liouvillian(spec, cfg), cfg).rho
+        assert np.abs(qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg).rho - sparse).max() <= RHO_ATOL
 
     @pytest.mark.parametrize("name", list(TEXTBOOK_SPECS))
     def test_its_generator_matches_the_term_by_term_master_equation(self, name):
@@ -219,11 +242,11 @@ class TestMatrixForm:
         cfg = qnet.FockConfig(n_max=n_max, nodes=spec.n_nodes)
         k, rates = qnet.lindblad._mode_matrix(spec)
         big = qnet.lindblad._non_hermitian(spec, cfg, k)
-        reference = _textbook_generator(spec, n_max)
+        textbook = _textbook_generator(spec, n_max)
         rng = np.random.default_rng(4)
         for _ in range(3):
             rho = _random_hermitian(rng, cfg.dim)
-            expected = reference(rho)
+            expected = textbook(rho)
             drho = -1j * (big @ rho - rho @ big.conj().T) + qnet.lindblad._jumps(rho, rates, cfg)
             assert np.linalg.norm(drho - expected) <= 1e-13 * np.linalg.norm(expected)
 
@@ -233,7 +256,7 @@ class TestMatrixForm:
         spec, n_max = TEXTBOOK_SPECS["three-node-chain"]
         cfg = qnet.FockConfig(n_max=n_max, nodes=spec.n_nodes)
         rho = _random_hermitian(np.random.default_rng(5), cfg.dim)
-        ops = qnet.lindblad._annihilators(cfg)
+        ops = reference.annihilators(cfg)
         amps, corr = qnet.moments(qnet.DensityState(rho=rho, config=cfg))
         expected_amps = np.array([(a @ rho).diagonal().sum() for a in ops])
         expected_corr = np.array([[(a_n.conj().T @ a_m @ rho).diagonal().sum() for a_m in ops] for a_n in ops])
@@ -244,13 +267,13 @@ class TestMatrixForm:
         # |rabi| = gamma takes about 45 steps, against 7 for a weak drive
         spec = _two_node(rabi=1.0)
         cfg = qnet.FockConfig(n_max=6, nodes=2)
-        sparse = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg).rho
-        assert np.abs(qnet.lindblad._fixed_point_density(spec, cfg).rho - sparse).max() <= RHO_ATOL
+        sparse = reference.steady_state_density(reference.build_liouvillian(spec, cfg), cfg).rho
+        assert np.abs(qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg).rho - sparse).max() <= RHO_ATOL
 
     def test_an_undriven_network_relaxes_to_vacuum(self):
         # K has the vacuum in its kernel here, so S is singular along it
         cfg = qnet.FockConfig(n_max=3, nodes=2)
-        rho = qnet.lindblad._fixed_point_density(_two_node(rabi=0.0), cfg).rho
+        rho = qnet.steady_state_density(qnet.build_liouvillian(_two_node(rabi=0.0), cfg), cfg).rho
         vacuum = np.zeros((cfg.dim, cfg.dim))
         vacuum[0, 0] = 1.0
         assert np.abs(rho - vacuum).max() <= RHO_ATOL
@@ -341,37 +364,37 @@ class TestSteadyStateDensity:
     def test_overflowing_kernel_norms_are_singular_without_warnings(self):
         # every generator entry is finite, but |L|_F^2 is not
         cfg = qnet.FockConfig(n_max=2, nodes=2)
-        liou = qnet.build_liouvillian(_two_node(rabi=1e150), cfg)
+        liou = reference.build_liouvillian(_two_node(rabi=1e150), cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularNetwork, match="^kernel residual or its scale overflows double"):
-                qnet.steady_state_density(liou, cfg)
+                reference.steady_state_density(liou, cfg)
 
     def test_generator_of_another_dimension_rejected(self):
         cfg = qnet.FockConfig(n_max=1, nodes=1)
         with pytest.raises(ValidationError, match=r"generator shape \(9, 9\) does not match dim 2"):
-            qnet.steady_state_density(sp.identity(9, dtype=complex, format="csr"), cfg)
+            reference.steady_state_density(sp.identity(9, dtype=complex, format="csr"), cfg)
 
     def test_generator_without_a_kernel_detected(self):
         # the trace row makes the identity's first row solvable, but the
         # solution then fails the unmodified generator
         cfg = qnet.FockConfig(n_max=1, nodes=1)
         with pytest.raises(NonUniqueSteadyState, match="kernel residual 1.000e[+]00 too large"):
-            qnet.steady_state_density(sp.identity(4, dtype=complex, format="csr"), cfg)
+            reference.steady_state_density(sp.identity(4, dtype=complex, format="csr"), cfg)
 
     def test_real_generator_gives_the_complex_routes_state(self):
         # on resonance and undriven, the 1-node generator has no imaginary part
         cfg = qnet.FockConfig(n_max=2, nodes=1)
-        liou = qnet.build_liouvillian(_one_node(gamma=0.7, gamma_load=0.5), cfg)
+        liou = reference.build_liouvillian(_one_node(gamma=0.7, gamma_load=0.5), cfg)
         assert not liou.imag.count_nonzero()
-        rho = qnet.steady_state_density(liou, cfg).rho
-        real_rho = qnet.steady_state_density(liou.real, cfg).rho
+        rho = reference.steady_state_density(liou, cfg).rho
+        real_rho = reference.steady_state_density(liou.real, cfg).rho
         assert real_rho.dtype == rho.dtype and real_rho.tobytes() == rho.tobytes()
 
     def test_real_generator_without_a_kernel_detected(self):
         cfg = qnet.FockConfig(n_max=1, nodes=1)
         with pytest.raises(NonUniqueSteadyState, match="kernel residual"):
-            qnet.steady_state_density(np.eye(4), cfg)
+            reference.steady_state_density(np.eye(4), cfg)
 
     def test_kernel_that_is_no_density_matrix_rejected(self):
         # the projector off vec(rho) has rho as its kernel: unit trace,
@@ -380,7 +403,37 @@ class TestSteadyStateDensity:
         vec = np.diag([1.5, -0.5]).astype(complex).reshape(-1, order="F")
         generator = np.eye(4) - np.outer(vec, vec.conj()) / np.vdot(vec, vec)
         with pytest.raises(QnetError, match="failed its invariants .* min eigenvalue -5.00e-01"):
-            qnet.steady_state_density(sp.csr_matrix(generator), cfg)
+            reference.steady_state_density(sp.csr_matrix(generator), cfg)
+
+    def test_a_sparse_matrix_is_refused(self):
+        cfg = qnet.FockConfig(n_max=1, nodes=1)
+        liou = reference.build_liouvillian(_one_node(), cfg)
+        with pytest.raises(ValidationError, match="^not a generator of build_liouvillian: csr_"):
+            qnet.steady_state_density(liou, cfg)
+
+    def test_a_generator_for_another_truncation_is_refused(self):
+        spec = _two_node()
+        with pytest.raises(
+            ValidationError,
+            match=r"^generator was built for FockConfig\(n_max=2, nodes=2\), not FockConfig\(n_max=3, nodes=2\)$",
+        ):
+            qnet.steady_state_density(qnet.build_liouvillian(spec, qnet.FockConfig(2, 2)), qnet.FockConfig(3, 2))
+
+    @pytest.mark.parametrize(
+        "wrong_build, message",
+        [
+            (reference.build_liouvillian, "not a generator of build_liouvillian: csr_matrix"),
+            (lambda spec, cfg: qnet.build_liouvillian(spec, qnet.FockConfig(cfg.n_max + 1, cfg.nodes)),
+             "generator was built for FockConfig(n_max=3, nodes=2), not FockConfig(n_max=2, nodes=2)"),
+        ],
+        ids=["sparse", "other-truncation"],
+    )
+    def test_a_wrong_generator_exits_2(self, capsys, monkeypatch, wrong_build, message):
+        # oracle_report hands whatever build_liouvillian returns to steady_state_density
+        monkeypatch.setattr(qnet.lindblad, "build_liouvillian", wrong_build)
+        code = qnet.cli.main(["oracle", "--config", str(TWO_NODE), "--n-max", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"qnet: input error: {message}\n")
 
     def test_sparse_path_matches_scalar_solve(self):
         # a large truncation: the generator is 5041 x 5041
@@ -388,7 +441,7 @@ class TestSteadyStateDensity:
         spec = _one_node(gamma=gamma, rabi=rabi)
         cfg = qnet.FockConfig(n_max=70, nodes=1)
         assert cfg.dim**2 > 4096
-        state = qnet.steady_state_density(qnet.build_liouvillian(spec, cfg), cfg)
+        state = reference.steady_state_density(reference.build_liouvillian(spec, cfg), cfg)
         amp = qnet.moments(state)[0][0]
         assert abs(amp - (-2j * rabi / gamma)) / (2 * rabi / gamma) < 1e-4
 
@@ -437,6 +490,24 @@ class TestOracleReport:
         report = qnet.oracle_report(_two_node(), np.int64(2))
         assert type(report["n_max"]) is int
         json.dumps(report)
+
+    def test_the_report_runs_each_stage_once(self, monkeypatch):
+        calls = []
+        build, solve = qnet.lindblad.build_liouvillian, qnet.lindblad.steady_state_density
+
+        def spy_build(spec, cfg):
+            calls.append(("build", cfg))
+            return build(spec, cfg)
+
+        def spy_solve(generator, cfg):
+            calls.append(("solve", cfg))
+            return solve(generator, cfg)
+
+        monkeypatch.setattr(qnet.lindblad, "build_liouvillian", spy_build)
+        monkeypatch.setattr(qnet.lindblad, "steady_state_density", spy_solve)
+        qnet.oracle_report(_two_node(), n_max=3)
+        cfg = qnet.FockConfig(n_max=3, nodes=2)
+        assert calls == [("build", cfg), ("solve", cfg)]
 
     def test_capacity_propagates(self):
         with pytest.raises(CapacityError):
